@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: input/format problems -> 2,
 configuration problems -> 3, numerical failures -> 4.
 """
 
+from dataclasses import fields
+from numbers import Integral, Real
+
 
 class TargetselError(Exception):
     """Base class for all toolkit errors."""
@@ -39,3 +42,15 @@ class IndefiniteKernelError(TargetselError):
 
 class DivergenceError(TargetselError):
     """Training produced a non-finite loss."""
+
+
+def check_numeric_fields(instance):
+    """Raise ConfigurationError when a dataclass field annotated int or float
+    holds another type, as a JSON manifest or config can supply."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        want = {int: Integral, float: Real}.get(f.type)
+        if want is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ConfigurationError(f"{f.name} must be {f.type.__name__}, got {value!r}")

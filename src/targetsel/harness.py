@@ -14,7 +14,7 @@ import numpy as np
 
 from . import baselines
 from .datastore import FeatureMatrix, ProbabilityMatrix
-from .errors import ConfigurationError, DivergenceError, SizeError
+from .errors import ConfigurationError, DivergenceError, SizeError, check_numeric_fields
 from .kernel import KernelConfig, build_kernel
 from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec
 from .optimizer import SelectionConfig, greedy_maximize
@@ -45,6 +45,7 @@ class ExperimentConfig:
     target_classes: tuple = None  # fixed pair; None -> drawn per seed
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
         if self.budget > 0 and self.target_set_size >= self.budget:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateFeatureError, IndefiniteKernelError, ShapeError
+from .errors import ConfigurationError, DegenerateFeatureError, IndefiniteKernelError, ShapeError
 
 METRICS = ("cosine", "dot")
 TRANSFORMS = ("none", "shift-scale", "clip")
@@ -26,11 +26,13 @@ class KernelConfig:
 
     def __post_init__(self):
         if self.metric not in METRICS:
-            raise ShapeError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
+            raise ConfigurationError(f"unknown metric {self.metric!r}, expected one of {METRICS}")
         if self.transform not in TRANSFORMS:
-            raise ShapeError(f"unknown transform {self.transform!r}, expected one of {TRANSFORMS}")
+            raise ConfigurationError(
+                f"unknown transform {self.transform!r}, expected one of {TRANSFORMS}"
+            )
         if self.psd_ridge < 0:
-            raise ShapeError("psd_ridge must be nonnegative")
+            raise ConfigurationError("psd_ridge must be nonnegative")
 
 
 @dataclass(frozen=True)

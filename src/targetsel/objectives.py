@@ -11,6 +11,7 @@ index set is 0; the empty determinant is 1.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -117,6 +118,14 @@ class Objective:
         self._check_candidate(state, a)
         return self._gain(state, a)
 
+    def gains(self, state):
+        """Marginal gain of every candidate at once; -inf at selected indices."""
+        free = np.ones(self.n, dtype=bool)
+        free[state.selected] = False
+        out = self._gains(state, free)
+        out[~free] = -np.inf
+        return out
+
     def commit(self, state, a):
         self._check_candidate(state, a)
         g = self._gain(state, a)
@@ -124,6 +133,11 @@ class Objective:
         state.selected.append(a)
         state.value += g
         return state
+
+    def _gains(self, state, free):
+        out = np.empty(self.n)
+        out[free] = [self._gain(state, int(a)) for a in np.flatnonzero(free)]
+        return out
 
     def _check_bounds(self, a):
         if not 0 <= a < self.n:
@@ -222,7 +236,8 @@ class LogDetMI(Objective):
         )
         # w columns satisfy S_AQ S_Q^-1 S_AQ^T = W[:,A]^T W[:,A]
         self.w = solve_triangular(l_q, spec.s_ut.values.T, lower=True)
-        self.cond_diag = self.uu.diagonal() + self.eps - spec.eta**2 * (self.w**2).sum(axis=0)
+        self.pool_diag = self.uu.diagonal() + self.eps
+        self.cond_diag = self.pool_diag - spec.eta**2 * (self.w**2).sum(axis=0)
 
     def _cond_block(self, rows, cols):
         return self.uu[np.ix_(rows, cols)] - self.spec.eta**2 * (
@@ -259,6 +274,23 @@ class LogDetMI(Objective):
             return self.evaluate(sel + [a]) - state.value
         return float(np.log(d1) - np.log(d2))
 
+    def _cond_column(self, j):
+        return _ridged_column(self.uu, self.eps, j) - self.spec.eta**2 * (
+            self.w.T @ self.w[:, j]
+        )
+
+    def _gains(self, state, free):
+        d1, d2 = _synced_residuals(state, (
+            (partial(_ridged_column, self.uu, self.eps), self.pool_diag, "pool kernel"),
+            (self._cond_column, self.cond_diag, "conditioned kernel"),
+        ))
+        ok = free & (d1 > 0) & (d2 > 0)
+        out = np.empty(self.n)
+        out[ok] = np.log(d1[ok]) - np.log(d2[ok])
+        for a in np.flatnonzero(free & ~ok):
+            out[a] = self._gain(state, int(a))
+        return out
+
     def _commit(self, state, a):
         sel = state.selected
         d1, w1 = self._schur(state.aux.get("l1"), self.uu[sel, a], self.uu[a, a] + self.eps)
@@ -291,6 +323,10 @@ class GraphCutMIDiversity(Objective):
         sel_sim = state.aux["sel_sim"][a] if state.selected else 0.0
         div = len(state.selected) - sel_sim
         return float(self.row2[a] + self.spec.gamma * div)
+
+    def _gains(self, state, free):
+        sel_sim = state.aux["sel_sim"] if state.selected else np.zeros(self.n)
+        return self.row2 + self.spec.gamma * (len(state.selected) - sel_sim)
 
     def _commit(self, state, a):
         if not state.selected:
@@ -353,6 +389,7 @@ class LogDet(Objective):
         super().__init__(spec)
         self.uu = spec.s_uu.values
         self.eps = spec.ridge
+        self.diag = self.uu.diagonal() + self.eps
 
     def _evaluate(self, indices):
         m = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
@@ -371,6 +408,17 @@ class LogDet(Objective):
         if d <= 0:
             return self.evaluate(state.selected + [a]) - state.value
         return float(np.log(d))
+
+    def _gains(self, state, free):
+        (d,) = _synced_residuals(
+            state, ((partial(_ridged_column, self.uu, self.eps), self.diag, "pool kernel"),)
+        )
+        ok = free & (d > 0)
+        out = np.empty(self.n)
+        out[ok] = np.log(d[ok])
+        for a in np.flatnonzero(free & ~ok):
+            out[a] = self._gain(state, int(a))
+        return out
 
     def _commit(self, state, a):
         factor = state.aux.get("l")
@@ -409,11 +457,78 @@ class DisparitySum(Objective):
             return 0.0
         return float(len(state.selected) - state.aux["sel_sim"][a])
 
+    def _gains(self, state, free):
+        if not state.selected:
+            return np.zeros(self.n)
+        return len(state.selected) - state.aux["sel_sim"]
+
     def _commit(self, state, a):
         if not state.selected:
             state.aux["sel_sim"] = self.uu[:, a].copy()
         else:
             state.aux["sel_sim"] += self.uu[:, a]
+
+
+class CholeskyResiduals:
+    """Schur residuals of every candidate against a growing committed set.
+
+    The incremental Cholesky of Chen, Zhang & Zhou, "Fast Greedy MAP Inference
+    for Determinantal Point Processes" (NeurIPS 2018). For a PD kernel K and a
+    committed set A with lower Cholesky factor L, it keeps E = L^-1 K[A, :],
+    one row per committed index, and d_i = K_ii - |E[:, i]|^2, so that
+    log d_i = log det K[A + i] - log det K[A]. Folding in one committed index
+    costs one kernel column and O(n |A|); K itself is never materialized.
+    """
+
+    def __init__(self, column, diag, name):
+        self.column = column  # j -> K[:, j] as a new array
+        self.diag = diag
+        self.name = name
+        self.d = diag.copy()
+        self.rows = np.empty((0, len(diag)))
+        self.t = 0  # committed indices folded in so far
+
+    def sync(self, selected):
+        """Fold in the indices committed since the last call; returns d."""
+        while self.t < len(selected):
+            t, j = self.t, selected[self.t]
+            if self.d[j] <= 0:
+                # the pivot lost positive definiteness numerically
+                self._refactor(selected[: t + 1])
+                continue
+            e = self.column(j)
+            e -= self.rows[:t, j] @ self.rows[:t]
+            e /= np.sqrt(self.d[j])
+            if t == len(self.rows):
+                grown = np.empty((max(8, 2 * t), len(self.d)))
+                grown[:t] = self.rows
+                self.rows = grown
+            self.rows[t] = e
+            self.d -= e * e
+            self.t += 1
+        return self.d
+
+    def _refactor(self, chosen):
+        block = np.array([self.column(j) for j in chosen])
+        factor = cholesky_or_raise(block[:, chosen], self.name)
+        self.rows = solve_triangular(factor, block, lower=True)
+        self.d = self.diag - (self.rows**2).sum(axis=0)
+        self.t = len(chosen)
+
+
+def _ridged_column(kernel, eps, j):
+    """Column j of a symmetric kernel plus eps I, as a new array."""
+    col = kernel[j].copy()
+    col[j] += eps
+    return col
+
+
+def _synced_residuals(state, kernels):
+    """Residual arrays for each (column, diag, name) kernel, kept in state.aux
+    and brought up to date with state.selected."""
+    if "residuals" not in state.aux:
+        state.aux["residuals"] = [CholeskyResiduals(*k) for k in kernels]
+    return [r.sync(state.selected) for r in state.aux["residuals"]]
 
 
 def _extend_cholesky(factor, w, d):

@@ -51,20 +51,14 @@ class SelectionResult:
 
 def _naive_greedy(obj, k):
     state = obj.new_state()
-    remaining = list(range(obj.n))
     gains = []
     evals = 0
     for _ in range(k):
-        step_gains = [obj.gain(state, a) for a in remaining]
-        evals += len(remaining)
-        best = max(step_gains)
-        for a, g in zip(remaining, step_gains):
-            if g >= best - TIE_TOL:
-                winner, winner_gain = a, g
-                break
+        step_gains = obj.gains(state)
+        evals += obj.n - len(state.selected)
+        winner = int(np.flatnonzero(step_gains >= step_gains.max() - TIE_TOL)[0])
+        gains.append(float(step_gains[winner]))
         obj.commit(state, winner)
-        remaining.remove(winner)
-        gains.append(winner_gain)
     return state, gains, evals
 
 

@@ -23,6 +23,7 @@ from .errors import (
     IndefiniteKernelError,
     ShapeError,
     SizeError,
+    check_numeric_fields,
 )
 from .kernel import KernelConfig, build_kernel
 from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec
@@ -55,6 +56,7 @@ class RunManifest:
     version: str = __version__
 
     def __post_init__(self):
+        check_numeric_fields(self)
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         if self.budget < 0:
@@ -147,9 +149,18 @@ def _manifest_from_args(args):
     if args.manifest:
         with open(args.manifest, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        raw = raw.get("manifest", raw)
-        raw.pop("version", None)
-        return RunManifest(**raw)
+        if isinstance(raw, dict):
+            raw = raw.get("manifest", raw)
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"manifest {args.manifest} is not a JSON object")
+        version = raw.pop("version", __version__)
+        if version != __version__:
+            print(f"warning: manifest was written by targetsel {version}; "
+                  f"replaying with {__version__}", file=sys.stderr)
+        try:
+            return RunManifest(**raw)
+        except TypeError as exc:  # missing or unknown manifest keys
+            raise ConfigurationError(f"invalid manifest {args.manifest}: {exc}") from exc
     if args.method is None or args.unlabeled is None:
         raise ConfigurationError("--method and --unlabeled are required without --manifest")
     return RunManifest(
@@ -235,7 +246,7 @@ def main(argv=None):
     except (DataFormatError, ShapeError, SizeError, DegenerateFeatureError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConfigurationError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigurationError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IndefiniteKernelError, DivergenceError) as exc:

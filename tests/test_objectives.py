@@ -2,18 +2,24 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import eval_reference, random_kernels
-from targetsel.errors import ConfigurationError
-from targetsel.kernel import SimilarityKernel
+from targetsel.datastore import FeatureMatrix
+from targetsel.errors import ConfigurationError, IndefiniteKernelError, TargetselError
+from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel
 from targetsel.objectives import (
     KINDS,
+    CholeskyResiduals,
+    Objective,
     ObjectiveSpec,
     build_objective,
     commit,
     evaluate,
     marginal_gain,
 )
+from targetsel.optimizer import TIE_TOL, SelectionConfig, greedy_maximize
 
 UT = SimilarityKernel(np.array([[0.5, 0.2], [0.1, 0.4]]))
 UU3 = SimilarityKernel(np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]]),
@@ -37,7 +43,7 @@ def spec_for(kind, **kw):
     return ObjectiveSpec(kind, **defaults)
 
 
-def random_spec(rng, kind, n=6, m=3, ridge=1e-6):
+def random_spec(rng, kind, n=6, m=3, ridge=1e-6, **params):
     uu, ut, tt = random_kernels(rng, n, m)
     return ObjectiveSpec(
         kind,
@@ -45,6 +51,7 @@ def random_spec(rng, kind, n=6, m=3, ridge=1e-6):
         s_ut=ut if "ut" in _needs(kind) else None,
         s_tt=tt if "tt" in _needs(kind) else None,
         ridge=ridge,
+        **params,
     )
 
 
@@ -313,3 +320,133 @@ class TestSpecValidation:
         assert marginal_gain(s, state, 1) == pytest.approx(
             evaluate(s, [0, 1]) - evaluate(s, [0]), abs=1e-10
         )
+
+
+def scalar_naive_greedy(obj, k):
+    """Reference naive greedy: one scalar gain per remaining candidate per step."""
+    state = obj.new_state()
+    remaining = list(range(obj.n))
+    gains = []
+    for _ in range(k):
+        step = [obj.gain(state, a) for a in remaining]
+        best = max(step)
+        winner, g = next((a, g) for a, g in zip(remaining, step) if g >= best - TIE_TOL)
+        obj.commit(state, winner)
+        remaining.remove(winner)
+        gains.append(g)
+    return state.selected, gains
+
+
+def outcome(run):
+    """A run's result, or the type of the toolkit error it raised."""
+    try:
+        return run()
+    except TargetselError as exc:
+        return type(exc)
+
+
+# gcmi_div and dsum vectorize the scalar arithmetic elementwise, and the other
+# non-log-det kinds loop over the scalar gain, so their batched gains are
+# exact; logdet and logdetmi reach the same residuals by another route.
+BATCHED_TOL = {"logdet": 1e-8, "logdetmi": 1e-8}
+
+
+class TestBatchedGains:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.integers(2, 8),
+           st.integers(1, 3))
+    def test_gains_match_scalar_and_evaluate(self, kind, seed, n, m):
+        rng = np.random.default_rng(seed)
+        params = dict(eta=rng.uniform(0, 1 if kind == "logdetmi" else 2),
+                      gamma=rng.uniform(0, 2), lambda_gc=rng.uniform(0, 1))
+        obj = build_objective(random_spec(rng, kind, n=n, m=m, **params))
+        tol = BATCHED_TOL.get(kind, 0.0)
+        state = obj.new_state()
+        # commit a random sequence, asking for batched gains at random steps so
+        # that the residual state both folds in one index and catches up on several
+        for a in rng.permutation(n)[: rng.integers(0, n)]:
+            if rng.random() < 0.5:
+                self._check_state(obj, state, tol)
+            obj.commit(state, int(a))
+        self._check_state(obj, state, tol)
+
+    @staticmethod
+    def _check_state(obj, state, tol):
+        got = obj.gains(state)
+        base = obj.evaluate(state.selected)
+        assert got.shape == (obj.n,)
+        for a in range(obj.n):
+            if a in state.selected:
+                assert got[a] == -np.inf
+                continue
+            scalar = obj.gain(state, a)
+            if tol:
+                assert got[a] == pytest.approx(scalar, rel=tol, abs=tol)
+            else:
+                assert got[a] == scalar
+            fresh = obj.evaluate(state.selected + [a]) - base
+            assert got[a] == pytest.approx(fresh, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_naive_greedy_matches_scalar_reference(self, kind):
+        rng = np.random.default_rng(KINDS.index(kind))
+        for _ in range(10):
+            n = int(rng.integers(3, 9))
+            k = int(rng.integers(1, n + 1))
+            spec = random_spec(rng, kind, n=n)
+            res = greedy_maximize(spec, SelectionConfig(budget=k, algorithm="naive"))
+            selected, gains = scalar_naive_greedy(build_objective(spec), k)
+            assert res.selected == selected
+            assert res.gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
+            assert res.evaluations == sum(n - i for i in range(k))
+
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
+    def test_duplicate_rows_at_ridge_zero(self, kind, monkeypatch):
+        # Duplicate pool rows make the kernels singular at ridge 0, so
+        # residuals reach d <= 0 and the scalar fallback, which re-evaluates
+        # from scratch, decides: both paths agree on the selection or the error.
+        fallbacks = []
+        evaluate_once = Objective.evaluate
+
+        def counted(obj, indices):
+            fallbacks.append(indices)
+            return evaluate_once(obj, indices)
+
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((6, 8))
+            x[1], x[4] = x[0], x[2]
+            pool, target = FeatureMatrix(x), FeatureMatrix(rng.standard_normal((2, 8)))
+            spec = ObjectiveSpec(
+                kind, s_uu=build_kernel(pool, pool, KernelConfig()),
+                s_ut=build_kernel(pool, target, KernelConfig()) if kind == "logdetmi" else None,
+                s_tt=build_kernel(target, target, KernelConfig()) if kind == "logdetmi" else None,
+                ridge=0.0,
+            )
+            for k in range(3, 7):
+                with monkeypatch.context() as patch:
+                    patch.setattr(Objective, "evaluate", counted)
+                    batched = outcome(lambda: greedy_maximize(
+                        spec, SelectionConfig(budget=k, algorithm="naive")).selected)
+                scalar = outcome(lambda: scalar_naive_greedy(build_objective(spec), k)[0])
+                assert batched == scalar, (seed, k)
+        assert fallbacks
+
+    def test_nonpositive_pivot_refactorizes(self):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((6, 4))
+        kernel = x @ x.T + 0.1 * np.eye(6)
+        res = CholeskyResiduals(lambda j: kernel[j].copy(), kernel.diagonal(), "test kernel")
+        res.sync([0])
+        res.d[3] = 0.0  # as if round-off had taken the pivot's residual to zero
+        d = res.sync([0, 3])
+        a = [0, 3]
+        exact = kernel.diagonal() - np.einsum(
+            "ij,ij->j", kernel[a], np.linalg.solve(kernel[np.ix_(a, a)], kernel[a]))
+        np.testing.assert_allclose(d, exact, atol=1e-12)
+        # a committed block that is not positive definite is a typed error
+        singular = np.ones((3, 3))
+        res = CholeskyResiduals(lambda j: singular[j].copy(), singular.diagonal(), "test kernel")
+        res.sync([0])
+        with pytest.raises(IndefiniteKernelError, match="test kernel"):
+            res.sync([0, 1])

@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import targetsel
+from targetsel.harness import config_from_dict
+from targetsel.errors import ConfigurationError
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 
 
@@ -29,8 +33,12 @@ def probs_file(tmp_path):
 
 
 def run_cli(args):
+    # The child process imports the same targetsel as these tests, installed or not.
+    src = os.path.dirname(os.path.dirname(targetsel.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "targetsel", *args], capture_output=True, text=True
+        [sys.executable, "-m", "targetsel", *args], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -162,3 +170,54 @@ class TestManifestFidelity:
             cli.pop("wall_time_ms")
             lib.pop("wall_time_ms")
             assert cli == lib, method
+
+
+class TestManifestErrors:
+    def _replay(self, pool_file, target_file, tmp_path, **changes):
+        manifest = {"method": "fl2mi", "budget": 1, "unlabeled": pool_file,
+                    "target": target_file, **changes}
+        path = write(tmp_path / "manifest.json", json.dumps({"manifest": manifest}))
+        return main(["select", "--manifest", path, "--out", str(tmp_path / "out.json")])
+
+    @pytest.mark.parametrize("changes", [{"metric": "manhattan"}, {"transform": "log"},
+                                         {"ridge": -1.0}])
+    def test_bad_kernel_settings_are_config_errors(self, pool_file, target_file, tmp_path,
+                                                   capsys, changes):
+        assert self._replay(pool_file, target_file, tmp_path, **changes) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_unknown_key_is_config_error(self, pool_file, target_file, tmp_path, capsys):
+        assert self._replay(pool_file, target_file, tmp_path, shards=4) == 3
+        assert "shards" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"manifest": 5}'])
+    def test_non_object_manifest_is_config_error(self, tmp_path, capsys, text):
+        path = write(tmp_path / "manifest.json", text)
+        assert main(["select", "--manifest", path]) == 3
+        assert "not a JSON object" in capsys.readouterr().err
+
+    def test_non_numeric_value_is_config_error(self, pool_file, target_file, tmp_path, capsys):
+        assert self._replay(pool_file, target_file, tmp_path, eta="high") == 3
+        assert "eta must be float" in capsys.readouterr().err
+
+    def test_non_numeric_experiment_value_is_config_error(self):
+        with pytest.raises(ConfigurationError, match="budget must be int"):
+            config_from_dict({"budget": "100"})
+
+    def test_version_mismatch_warns(self, pool_file, target_file, tmp_path, capsys):
+        first = tmp_path / "first.json"
+        assert main(["select", "--method", "fl2mi", "--budget", "1", "--unlabeled", pool_file,
+                     "--target", target_file, "--out", str(first)]) == 0
+        assert main(["select", "--manifest", str(first), "--out", "-"]) == 0
+        assert capsys.readouterr().err == ""
+        report = json.loads(first.read_text())
+        report["manifest"]["version"] = "0.0.1"
+        old = write(tmp_path / "old.json", json.dumps(report))
+        replay = tmp_path / "replay.json"
+        assert main(["select", "--manifest", old, "--out", str(replay)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "0.0.1" in err and targetsel.__version__ in err
+        a, b = json.loads(first.read_text()), json.loads(replay.read_text())
+        a.pop("wall_time_ms"), b.pop("wall_time_ms")
+        assert a == b
