@@ -17,9 +17,7 @@ from .objectives import (  # noqa: F401
     ObjectiveSpec,
     ObjectiveState,
     build_objective,
-    commit,
     evaluate,
-    marginal_gain,
 )
 from .optimizer import (  # noqa: F401
     SelectionConfig,

@@ -3,8 +3,9 @@
 Covers the mutual-information objectives over a pool/target kernel pair
 (gcmi, fl1mi, fl2mi, logdetmi, gcmi_div) and the plain pool-only functions
 (fl, gc, logdet, dsum). Every objective supports evaluation from scratch and
-an incremental state (running max vectors, relevance sums, Cholesky factors)
-so greedy selection pays far less than a full re-evaluation per candidate.
+an incremental state (running max vectors, relevance sums, Cholesky
+residuals) so greedy selection pays far less than a full re-evaluation per
+candidate.
 
 Conventions: the empty set evaluates to 0 for every kind; max over an empty
 index set is 0; the empty determinant is 1.
@@ -175,20 +176,20 @@ class FacilityLocationMI1(Objective):
         self.q = spec.eta * spec.s_ut.values.max(axis=1)
 
     def _evaluate(self, indices):
-        cur = self.uu[:, indices].max(axis=1)
+        cur = self.uu[indices].max(axis=0)
         return float(np.minimum(cur, self.q).sum())
 
     def _gain(self, state, a):
         if not state.selected:
-            return float(np.minimum(self.uu[:, a], self.q).sum())
-        cur = np.maximum(state.aux["cur"], self.uu[:, a])
+            return float(np.minimum(self.uu[a], self.q).sum())
+        cur = np.maximum(state.aux["cur"], self.uu[a])
         return float(np.minimum(cur, self.q).sum()) - state.value
 
     def _commit(self, state, a):
         if not state.selected:
-            state.aux["cur"] = self.uu[:, a].copy()
+            state.aux["cur"] = self.uu[a].copy()
         else:
-            np.maximum(state.aux["cur"], self.uu[:, a], out=state.aux["cur"])
+            np.maximum(state.aux["cur"], self.uu[a], out=state.aux["cur"])
 
 
 class FacilityLocationMI2(Objective):
@@ -217,7 +218,43 @@ class FacilityLocationMI2(Objective):
             np.maximum(state.aux["curq"], self.ut[a], out=state.aux["curq"])
 
 
-class LogDetMI(Objective):
+class _ResidualLogDet(Objective):
+    """Gains of the log-det kinds, read from CholeskyResiduals in state.aux.
+
+    Subclasses set `kernels`, one (column, diag, name) triple per kernel; the
+    gain of a is log d[a] for the first kernel minus log d[a] for each later
+    one. The scalar and the batched gain read the same residuals, and a commit
+    keeps no factor: the next sync folds it in. A candidate with a residual
+    d <= 0 re-evaluates from scratch.
+    """
+
+    def _log_gain(self, ds, idx):
+        out = np.log(ds[0][idx])
+        for d in ds[1:]:
+            out = out - np.log(d[idx])
+        return out
+
+    def _gain(self, state, a):
+        ds = _synced_residuals(state, self.kernels)
+        if all(d[a] > 0 for d in ds):
+            return float(self._log_gain(ds, a))
+        # the residual lost positivity numerically; evaluate from scratch
+        return self.evaluate(state.selected + [a]) - state.value
+
+    def _gains(self, state, free):
+        ds = _synced_residuals(state, self.kernels)
+        ok = free & np.logical_and.reduce([d > 0 for d in ds])
+        out = np.empty(self.n)
+        out[ok] = self._log_gain(ds, ok)
+        for a in np.flatnonzero(free & ~ok):
+            out[a] = self._gain(state, int(a))
+        return out
+
+    def _commit(self, state, a):
+        pass
+
+
+class LogDetMI(_ResidualLogDet):
     """log det(S_A) - log det(S_A - eta^2 S_AQ S_Q^-1 S_AQ^T), both ridged.
 
     Not lazy-safe: marginal gains of this mutual-information form can grow as
@@ -236,68 +273,26 @@ class LogDetMI(Objective):
         )
         # w columns satisfy S_AQ S_Q^-1 S_AQ^T = W[:,A]^T W[:,A]
         self.w = solve_triangular(l_q, spec.s_ut.values.T, lower=True)
-        self.pool_diag = self.uu.diagonal() + self.eps
-        self.cond_diag = self.pool_diag - spec.eta**2 * (self.w**2).sum(axis=0)
-
-    def _cond_block(self, rows, cols):
-        return self.uu[np.ix_(rows, cols)] - self.spec.eta**2 * (
-            self.w[:, rows].T @ self.w[:, cols]
+        pool_diag = self.uu.diagonal() + self.eps
+        # partials over arrays, not bound methods: a reference back to self
+        # would keep every kernel alive until the cyclic garbage collector ran
+        self.kernels = (
+            (partial(_ridged_column, self.uu, self.eps), pool_diag, "pool kernel"),
+            (partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
+             pool_diag - spec.eta**2 * (self.w**2).sum(axis=0), "conditioned kernel"),
         )
-
-    def _cond_matrix(self, indices):
-        m = self._cond_block(indices, indices)
-        m[np.diag_indices_from(m)] += self.eps
-        return m
 
     def _evaluate(self, indices):
         s_a = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
+        cond = self.uu[np.ix_(indices, indices)] - self.spec.eta**2 * (
+            self.w[:, indices].T @ self.w[:, indices]
+        )
+        cond[np.diag_indices_from(cond)] += self.eps
         sign1, ld1 = np.linalg.slogdet(s_a)
-        sign2, ld2 = np.linalg.slogdet(self._cond_matrix(indices))
+        sign2, ld2 = np.linalg.slogdet(cond)
         if sign1 <= 0 or sign2 <= 0:
             raise IndefiniteKernelError("log-det evaluation hit a non-PD matrix; increase the ridge")
         return float(ld1 - ld2)
-
-    def _schur(self, factor, column, diag):
-        if factor is None:
-            return diag, None
-        w = solve_triangular(factor, column, lower=True)
-        return diag - float(w @ w), w
-
-    def _gain(self, state, a):
-        sel = state.selected
-        d1, _ = self._schur(state.aux.get("l1"), self.uu[sel, a], self.uu[a, a] + self.eps)
-        d2, _ = self._schur(
-            state.aux.get("l2"), self._cond_block(sel, [a])[:, 0], self.cond_diag[a]
-        )
-        if d1 <= 0 or d2 <= 0:
-            # rank-one extension failed numerically; refactorize from scratch
-            return self.evaluate(sel + [a]) - state.value
-        return float(np.log(d1) - np.log(d2))
-
-    def _cond_column(self, j):
-        return _ridged_column(self.uu, self.eps, j) - self.spec.eta**2 * (
-            self.w.T @ self.w[:, j]
-        )
-
-    def _gains(self, state, free):
-        d1, d2 = _synced_residuals(state, (
-            (partial(_ridged_column, self.uu, self.eps), self.pool_diag, "pool kernel"),
-            (self._cond_column, self.cond_diag, "conditioned kernel"),
-        ))
-        ok = free & (d1 > 0) & (d2 > 0)
-        out = np.empty(self.n)
-        out[ok] = np.log(d1[ok]) - np.log(d2[ok])
-        for a in np.flatnonzero(free & ~ok):
-            out[a] = self._gain(state, int(a))
-        return out
-
-    def _commit(self, state, a):
-        sel = state.selected
-        d1, w1 = self._schur(state.aux.get("l1"), self.uu[sel, a], self.uu[a, a] + self.eps)
-        if d1 <= 0:
-            raise IndefiniteKernelError("pool kernel lost positive definiteness; increase the ridge")
-        state.aux["l1"] = _extend_cholesky(state.aux.get("l1"), w1, d1)
-        state.aux["l2"] = cholesky_or_raise(self._cond_matrix(sel + [a]), "conditioned kernel")
 
 
 class GraphCutMIDiversity(Objective):
@@ -330,9 +325,9 @@ class GraphCutMIDiversity(Objective):
 
     def _commit(self, state, a):
         if not state.selected:
-            state.aux["sel_sim"] = self.uu[:, a].copy()
+            state.aux["sel_sim"] = self.uu[a].copy()
         else:
-            state.aux["sel_sim"] += self.uu[:, a]
+            state.aux["sel_sim"] += self.uu[a]
 
 
 class FacilityLocation(Objective):
@@ -343,18 +338,18 @@ class FacilityLocation(Objective):
         self.uu = spec.s_uu.values
 
     def _evaluate(self, indices):
-        return float(self.uu[:, indices].max(axis=1).sum())
+        return float(self.uu[indices].max(axis=0).sum())
 
     def _gain(self, state, a):
         if not state.selected:
-            return float(self.uu[:, a].sum())
-        return float(np.maximum(state.aux["cur"], self.uu[:, a]).sum()) - state.value
+            return float(self.uu[a].sum())
+        return float(np.maximum(state.aux["cur"], self.uu[a]).sum()) - state.value
 
     def _commit(self, state, a):
         if not state.selected:
-            state.aux["cur"] = self.uu[:, a].copy()
+            state.aux["cur"] = self.uu[a].copy()
         else:
-            np.maximum(state.aux["cur"], self.uu[:, a], out=state.aux["cur"])
+            np.maximum(state.aux["cur"], self.uu[a], out=state.aux["cur"])
 
 
 class GraphCut(Objective):
@@ -377,19 +372,20 @@ class GraphCut(Objective):
 
     def _commit(self, state, a):
         if not state.selected:
-            state.aux["sel_sim"] = self.uu[:, a].copy()
+            state.aux["sel_sim"] = self.uu[a].copy()
         else:
-            state.aux["sel_sim"] += self.uu[:, a]
+            state.aux["sel_sim"] += self.uu[a]
 
 
-class LogDet(Objective):
+class LogDet(_ResidualLogDet):
     """log det(S_A + eps I) over the pool kernel."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.uu = spec.s_uu.values
         self.eps = spec.ridge
-        self.diag = self.uu.diagonal() + self.eps
+        self.kernels = ((partial(_ridged_column, self.uu, self.eps),
+                         self.uu.diagonal() + self.eps, "pool kernel"),)
 
     def _evaluate(self, indices):
         m = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
@@ -397,45 +393,6 @@ class LogDet(Objective):
         if sign <= 0:
             raise IndefiniteKernelError("log-det evaluation hit a non-PD matrix; increase the ridge")
         return float(ld)
-
-    def _gain(self, state, a):
-        factor = state.aux.get("l")
-        diag = self.uu[a, a] + self.eps
-        if factor is None:
-            return float(np.log(diag))
-        w = solve_triangular(factor, self.uu[state.selected, a], lower=True)
-        d = diag - float(w @ w)
-        if d <= 0:
-            return self.evaluate(state.selected + [a]) - state.value
-        return float(np.log(d))
-
-    def _gains(self, state, free):
-        (d,) = _synced_residuals(
-            state, ((partial(_ridged_column, self.uu, self.eps), self.diag, "pool kernel"),)
-        )
-        ok = free & (d > 0)
-        out = np.empty(self.n)
-        out[ok] = np.log(d[ok])
-        for a in np.flatnonzero(free & ~ok):
-            out[a] = self._gain(state, int(a))
-        return out
-
-    def _commit(self, state, a):
-        factor = state.aux.get("l")
-        diag = self.uu[a, a] + self.eps
-        if factor is None:
-            state.aux["l"] = np.array([[np.sqrt(diag)]])
-            return
-        w = solve_triangular(factor, self.uu[state.selected, a], lower=True)
-        d = diag - float(w @ w)
-        if d <= 0:
-            state.aux["l"] = cholesky_or_raise(
-                self.uu[np.ix_(state.selected + [a], state.selected + [a])]
-                + self.eps * np.eye(len(state.selected) + 1),
-                "pool kernel",
-            )
-        else:
-            state.aux["l"] = _extend_cholesky(factor, w, d)
 
 
 class DisparitySum(Objective):
@@ -464,9 +421,9 @@ class DisparitySum(Objective):
 
     def _commit(self, state, a):
         if not state.selected:
-            state.aux["sel_sim"] = self.uu[:, a].copy()
+            state.aux["sel_sim"] = self.uu[a].copy()
         else:
-            state.aux["sel_sim"] += self.uu[:, a]
+            state.aux["sel_sim"] += self.uu[a]
 
 
 class CholeskyResiduals:
@@ -478,6 +435,9 @@ class CholeskyResiduals:
     one row per committed index, and d_i = K_ii - |E[:, i]|^2, so that
     log d_i = log det K[A + i] - log det K[A]. Folding in one committed index
     costs one kernel column and O(n |A|); K itself is never materialized.
+    It is the only factor state of logdet and logdetmi: their scalar gains,
+    batched gains and commits all read it, and commits are folded in lazily,
+    by the next sync.
     """
 
     def __init__(self, column, diag, name):
@@ -523,24 +483,17 @@ def _ridged_column(kernel, eps, j):
     return col
 
 
+def _conditioned_column(kernel, eps, eta, w, j):
+    """Column j of kernel - eta^2 W^T W + eps I, as a new array."""
+    return _ridged_column(kernel, eps, j) - eta**2 * (w.T @ w[:, j])
+
+
 def _synced_residuals(state, kernels):
     """Residual arrays for each (column, diag, name) kernel, kept in state.aux
     and brought up to date with state.selected."""
     if "residuals" not in state.aux:
         state.aux["residuals"] = [CholeskyResiduals(*k) for k in kernels]
     return [r.sync(state.selected) for r in state.aux["residuals"]]
-
-
-def _extend_cholesky(factor, w, d):
-    """Append one row/column to a lower Cholesky factor via its Schur scalar."""
-    if factor is None:
-        return np.array([[np.sqrt(d)]])
-    k = factor.shape[0]
-    out = np.zeros((k + 1, k + 1))
-    out[:k, :k] = factor
-    out[k, :k] = w
-    out[k, k] = np.sqrt(d)
-    return out
 
 
 _CLASSES = {
@@ -563,15 +516,3 @@ def build_objective(spec):
 def evaluate(spec, indices):
     """Objective value of an index set, computed from scratch."""
     return build_objective(spec).evaluate(indices)
-
-
-def marginal_gain(spec, state, a, objective=None):
-    """eval(A + {a}) - eval(A), computed incrementally from the state caches."""
-    obj = objective if objective is not None else build_objective(spec)
-    return obj.gain(state, a)
-
-
-def commit(spec, state, a, objective=None):
-    """Append `a` to the state and update its caches."""
-    obj = objective if objective is not None else build_objective(spec)
-    return obj.commit(state, a)

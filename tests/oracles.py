@@ -3,14 +3,20 @@
 Everything here is written with explicit double loops and cofactor
 determinants so the reference shares no code path with the incremental
 implementations it checks. Only usable at tiny sizes (n <= 8).
+
+`SolveLogDet` is the one exception: it keeps the scalar log-det gain the
+library computed before its gains read Cholesky residuals (a triangular solve
+against the factor of the selected block), as the reference for that path.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from targetsel.datastore import FeatureMatrix
-from targetsel.kernel import KernelConfig, build_kernel
+from targetsel.kernel import KernelConfig, build_kernel, cholesky_or_raise
+from targetsel.objectives import ObjectiveState, build_objective
 
 
 def det_cofactor(m):
@@ -113,3 +119,76 @@ def random_kernels(rng, n, m, d=6):
         build_kernel(pool, target, cfg),
         build_kernel(target, target, cfg),
     )
+
+
+class SolveLogDet:
+    """The scalar logdet/logdetmi gain as the library computed it before its
+    gains read Cholesky residuals, kept as the reference for that path.
+
+    Per kernel (the ridged pool kernel and, for logdetmi, the ridged
+    conditioned kernel) the state holds a lower Cholesky factor L of the
+    selected block, and the gain of a comes from the Schur residual
+    d = K_aa - |L^-1 K[A, a]|^2 as log d_1 - log d_2 (log d_1 alone for
+    logdet). A commit extends the pool factor by one row, or refactorizes it
+    when d <= 0, and refactorizes the conditioned factor; a candidate with
+    d <= 0 takes the from-scratch evaluation. Offers the `n`, `new_state`,
+    `gain` and `commit` that the greedy loops use.
+    """
+
+    def __init__(self, spec):
+        obj = self.objective = build_objective(spec)
+        self.n = obj.n
+        uu, eps = obj.uu, obj.eps
+        # (column K[A, a], diagonal, block K[A, A]) per kernel
+        self.kernels = [(lambda sel, a: uu[sel, a], uu.diagonal() + eps,
+                         lambda idx: uu[np.ix_(idx, idx)] + eps * np.eye(len(idx)))]
+        if spec.kind == "logdetmi":
+            w, e2 = obj.w, spec.eta**2
+
+            def cond_block(rows, cols):
+                return uu[np.ix_(rows, cols)] - e2 * (w[:, rows].T @ w[:, cols])
+
+            def cond_matrix(idx):
+                m = cond_block(idx, idx)
+                m[np.diag_indices_from(m)] += eps
+                return m
+
+            self.kernels.append((lambda sel, a: cond_block(sel, [a])[:, 0],
+                                 self.kernels[0][1] - e2 * (w**2).sum(axis=0), cond_matrix))
+
+    def new_state(self):
+        return ObjectiveState(aux={"factors": [None] * len(self.kernels)})
+
+    def _schur(self, state, i, a):
+        column, diag, _ = self.kernels[i]
+        factor = state.aux["factors"][i]
+        if factor is None:
+            return diag[a], None
+        w = solve_triangular(factor, column(state.selected, a), lower=True)
+        return diag[a] - float(w @ w), w
+
+    def gain(self, state, a):
+        d = [self._schur(state, i, a)[0] for i in range(len(self.kernels))]
+        if min(d) <= 0:
+            return self.objective.evaluate(state.selected + [a]) - state.value
+        return float(np.log(d[0]) - sum(np.log(x) for x in d[1:]))
+
+    def commit(self, state, a):
+        g = self.gain(state, a)
+        idx = state.selected + [a]
+        factors = state.aux["factors"]
+        d, w = self._schur(state, 0, a)
+        if d <= 0:
+            factors[0] = cholesky_or_raise(self.kernels[0][2](idx), "pool kernel")
+        elif factors[0] is None:
+            factors[0] = np.array([[np.sqrt(d)]])
+        else:
+            k = len(factors[0])
+            grown = np.zeros((k + 1, k + 1))
+            grown[:k, :k], grown[k, :k], grown[k, k] = factors[0], w, np.sqrt(d)
+            factors[0] = grown
+        for i in range(1, len(self.kernels)):
+            factors[i] = cholesky_or_raise(self.kernels[i][2](idx), "conditioned kernel")
+        state.selected.append(a)
+        state.value += g
+        return state

@@ -1,11 +1,27 @@
+import gc
+import weakref
+import zlib
+
 import numpy as np
 import pytest
 
-from oracles import random_kernels
-from targetsel.errors import SizeError
-from targetsel.kernel import SimilarityKernel
-from targetsel.objectives import KERNEL_REQUIREMENTS, KINDS, SUBMODULAR_KINDS, ObjectiveSpec
-from targetsel.optimizer import SelectionConfig, exhaustive_maximize, greedy_maximize
+from oracles import SolveLogDet, random_kernels
+from targetsel.datastore import FeatureMatrix
+from targetsel.errors import IndefiniteKernelError, SizeError
+from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel
+from targetsel.objectives import (
+    KERNEL_REQUIREMENTS,
+    KINDS,
+    SUBMODULAR_KINDS,
+    Objective,
+    ObjectiveSpec,
+)
+from targetsel.optimizer import (
+    SelectionConfig,
+    _lazy_greedy,
+    exhaustive_maximize,
+    greedy_maximize,
+)
 
 
 def random_spec(rng, kind, n=8, m=3):
@@ -55,7 +71,7 @@ class TestGreedyExamples:
 class TestLazyNaiveIdentity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_identical_selections(self, kind):
-        rng = np.random.default_rng(hash(kind) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(kind.encode()))
         for _ in range(25):
             spec = random_spec(rng, kind, n=int(rng.integers(4, 10)))
             k = int(rng.integers(1, 5))
@@ -72,6 +88,55 @@ class TestLazyNaiveIdentity:
             naive = greedy_maximize(spec, SelectionConfig(budget=3, algorithm="naive"))
             lazy = greedy_maximize(spec, SelectionConfig(budget=3, algorithm="lazy"))
             assert naive.selected == lazy.selected
+
+
+class TestLazyLogDetScalarPath:
+    """Lazy logdet reads its scalar gains from the Cholesky residuals; the
+    solve-based scalar gain they replaced is the reference."""
+
+    def test_matches_solve_reference(self):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            n = int(rng.integers(4, 11))
+            k = int(rng.integers(1, n + 1))
+            spec = random_spec(rng, "logdet", n=n)
+            res = greedy_maximize(spec, SelectionConfig(budget=k, algorithm="lazy"))
+            state, gains, evals = _lazy_greedy(SolveLogDet(spec), k)
+            assert res.selected == state.selected
+            assert res.evaluations == evals
+            assert res.gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
+
+    def test_duplicate_rows_at_ridge_zero(self, monkeypatch):
+        # At ridge 0 duplicate pool rows leave residuals at or near zero, so
+        # lazy scalar gains reach the from-scratch fallback; they must end as
+        # the batched naive path does: the same selection or the same error.
+        fallbacks = []
+        evaluate_once = Objective.evaluate
+
+        def counted(obj, indices):
+            fallbacks.append(indices)
+            return evaluate_once(obj, indices)
+
+        def outcome(algorithm):
+            cfg = SelectionConfig(budget=k, algorithm=algorithm)
+            try:
+                return greedy_maximize(spec, cfg).selected
+            except IndefiniteKernelError as exc:
+                return type(exc)
+
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((6, 8))
+            x[1], x[4] = x[0], x[2]
+            pool = FeatureMatrix(x)
+            spec = ObjectiveSpec("logdet", s_uu=build_kernel(pool, pool, KernelConfig()),
+                                 ridge=0.0)
+            for k in range(3, 7):
+                with monkeypatch.context() as patch:
+                    patch.setattr(Objective, "evaluate", counted)
+                    lazy = outcome("lazy")
+                assert lazy == outcome("naive"), (seed, k)
+        assert fallbacks
 
 
 class TestResultInvariants:
@@ -91,6 +156,21 @@ class TestResultInvariants:
             res = greedy_maximize(spec, SelectionConfig(budget=5))
             diffs = np.diff(res.gains)
             assert np.all(diffs <= 1e-9), kind
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kernels_freed_without_cycle_collector(self, kind):
+        # a selection leaves no reference cycle holding its kernels, so a
+        # caller that drops them frees them at once, not at the next gc pass
+        spec = random_spec(np.random.default_rng(3), kind)
+        kernels = [weakref.ref(k) for k in (spec.s_uu, spec.s_ut, spec.s_tt) if k is not None]
+        gc.disable()
+        try:
+            for algorithm in ("naive", "lazy"):
+                greedy_maximize(spec, SelectionConfig(budget=4, algorithm=algorithm))
+            del spec
+            assert all(k() is None for k in kernels)
+        finally:
+            gc.enable()
 
     def test_determinism(self):
         rng = np.random.default_rng(17)
