@@ -4,10 +4,8 @@ __version__ = "0.1.0"
 
 from .datastore import (  # noqa: F401
     FeatureMatrix,
-    LabelVector,
     ProbabilityMatrix,
     load_features,
-    load_labels,
     load_probabilities,
     save_features,
 )

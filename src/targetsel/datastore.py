@@ -1,10 +1,12 @@
-"""Flat-file containers: feature matrices, label vectors, probability matrices.
+"""Flat-file containers: feature matrices and probability matrices.
 
-Files are headerless CSV (one instance per line) for features and
-probabilities, and one integer per line for labels. Loaded containers are
+Files are headerless CSV, one instance per line. They are parsed in bulk by
+numpy's C reader; input it rejects, or that holds a non-finite value, is
+re-read line by line so that the error names its line. Loaded containers are
 immutable and safe to share across threads.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,31 +43,6 @@ class FeatureMatrix:
     @property
     def dims(self):
         return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class LabelVector:
-    """Integer class labels in [0, num_classes)."""
-
-    labels: np.ndarray
-    num_classes: int
-
-    def __post_init__(self):
-        lab = np.asarray(self.labels, dtype=np.int64)
-        if lab.ndim != 1 or lab.size < 1:
-            raise DataFormatError("label vector must be 1-D and nonempty")
-        if self.num_classes < 1:
-            raise DataFormatError("num_classes must be >= 1")
-        bad = np.flatnonzero((lab < 0) | (lab >= self.num_classes))
-        if bad.size:
-            raise DataFormatError(
-                f"label {lab[bad[0]]} at position {bad[0]} outside [0, {self.num_classes})"
-            )
-        lab.setflags(write=False)
-        object.__setattr__(self, "labels", lab)
-
-    def __len__(self):
-        return self.labels.size
 
 
 @dataclass(frozen=True)
@@ -129,9 +106,27 @@ def _parse_csv(path):
     return np.array(rows, dtype=np.float64)
 
 
+def _read_csv(path):
+    """Parse a headerless CSV of reals in bulk, falling back to `_parse_csv`.
+
+    The line parser is the reference: it defines what is accepted and every
+    error message. The bulk read is taken only when it succeeds with finite
+    values; `comments=None` keeps '#' an ordinary (rejected) character.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt only warns on empty input
+            values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except (ValueError, UserWarning):
+        return _parse_csv(path)
+    if not np.isfinite(values).all():
+        return _parse_csv(path)
+    return values
+
+
 def load_features(path):
     """Load a FeatureMatrix from headerless CSV."""
-    return FeatureMatrix(_parse_csv(path))
+    return FeatureMatrix(_read_csv(path))
 
 
 def save_features(matrix, path):
@@ -142,23 +137,6 @@ def save_features(matrix, path):
             fh.write("\n")
 
 
-def load_labels(path, num_classes):
-    """Load a LabelVector (one integer per line) and validate the class range."""
-    labels = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tok = line.strip()
-            if not tok:
-                continue
-            try:
-                labels.append(int(tok))
-            except ValueError as exc:
-                raise DataFormatError(f"{path}: non-integer token at line {lineno}: {tok!r}") from exc
-    if not labels:
-        raise EmptyInputError(f"{path}: file contains no labels")
-    return LabelVector(np.array(labels, dtype=np.int64), num_classes)
-
-
 def load_probabilities(path):
     """Load a row-stochastic ProbabilityMatrix from headerless CSV."""
-    return ProbabilityMatrix(_parse_csv(path))
+    return ProbabilityMatrix(_read_csv(path))

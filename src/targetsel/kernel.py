@@ -6,16 +6,31 @@ The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateFeatureError, IndefiniteKernelError, ShapeError
+from .errors import (ConfigurationError, DegenerateFeatureError, IndefiniteKernelError,
+                     ShapeError, SizeError)
 
 METRICS = ("cosine", "dot")
 TRANSFORMS = ("none", "shift-scale", "clip")
 
 DEFAULT_RIDGE = 1e-6
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot report it."""
+    try:
+        size = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return size if size > 0 else None  # sysconf gives -1 for "indeterminate"
+
+
+# No kernel may need more bytes than this; None disables the check.
+MEMORY_LIMIT = _physical_memory()
 
 
 @dataclass(frozen=True)
@@ -90,9 +105,17 @@ def build_kernel(a, b, cfg=KernelConfig()):
     exactly symmetric, and (under cosine) given an exact unit diagonal before
     the transform. Cross kernels with r < c are computed as the transpose of
     the swapped problem so that build(a, b).T == build(b, a) holds entrywise.
+    Raises SizeError, before allocating, when the 8·r·c bytes of the result
+    exceed MEMORY_LIMIT.
     """
     if a.dims != b.dims:
         raise ShapeError(f"feature dimension mismatch: {a.dims} vs {b.dims}")
+    out_bytes = 8 * a.rows * b.rows
+    if MEMORY_LIMIT is not None and out_bytes > MEMORY_LIMIT:
+        raise SizeError(
+            f"a {a.rows} x {b.rows} kernel needs {out_bytes} bytes, more than the "
+            f"{MEMORY_LIMIT} bytes of physical memory"
+        )
     same = a is b or (a.rows == b.rows and np.array_equal(a.values, b.values))
     xa = _prepare_rows(a.values, cfg.metric, "left")
     if same:

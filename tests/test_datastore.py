@@ -1,14 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from targetsel import datastore
 from targetsel.datastore import (
     FeatureMatrix,
-    LabelVector,
     ProbabilityMatrix,
+    _parse_csv,
     load_features,
-    load_labels,
     load_probabilities,
     save_features,
 )
@@ -65,22 +67,92 @@ class TestRoundTrip:
         np.testing.assert_array_equal(back.values, m.values)
 
 
-class TestLoadLabels:
-    def test_basic(self, tmp_path):
-        lv = load_labels(write(tmp_path, "0\n1\n0"), num_classes=2)
-        assert list(lv.labels) == [0, 1, 0]
+FORMATS = {"%.17g": lambda x: "%.17g" % x, "repr": repr, "%.6e": lambda x: "%.6e" % x}
+EDGE_DOUBLES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300,
+                1e300, 1.7976931348623157e308, -1.7976931348623157e308)
 
-    def test_out_of_range(self, tmp_path):
-        with pytest.raises(DataFormatError, match="outside"):
-            load_labels(write(tmp_path, "2"), num_classes=2)
 
-    def test_sparse_classes_ok(self, tmp_path):
-        lv = load_labels(write(tmp_path, "1\n1"), num_classes=10)
-        assert list(lv.labels) == [1, 1]
+def _from_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
 
-    def test_non_integer(self, tmp_path):
-        with pytest.raises(DataFormatError, match="non-integer"):
-            load_labels(write(tmp_path, "1.5"), num_classes=2)
+
+doubles = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits).filter(np.isfinite),
+    st.sampled_from(EDGE_DOUBLES),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """Well-formed CSV text over random doubles, in the layouts users write."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 5))
+    fmt = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
+    pad = st.sampled_from(["", " ", "  "])
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [
+        ",".join(draw(pad) + fmt(draw(doubles)) + draw(pad) for _ in range(d))
+        for _ in range(n)
+    ]
+    return eol.join(lines) + eol * draw(st.integers(0, 3))
+
+
+class TestBulkParseMatchesLineParser:
+    @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_same_bytes(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("bulk") / "m.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(datastore, "_parse_csv", wraps=_parse_csv) as line_parser:
+            fast = load_features(path).values
+        assert not line_parser.called  # well-formed input never needs the line parser
+        slow = _parse_csv(path)
+        assert fast.shape == slow.shape
+        assert fast.tobytes() == slow.tobytes()  # so -0.0 must stay -0.0
+
+
+class TestWhereTheParsersDisagree:
+    """Inputs numpy's reader treats differently from the line parser; the
+    line parser's outcome (line numbers, messages, types) is the one kept."""
+
+    def test_whitespace_only_line_is_skipped(self, tmp_path):
+        m = load_features(write(tmp_path, "1.0,2.0\n   \n\t\n3.0,4.0\n"))
+        np.testing.assert_array_equal(m.values, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_underscore_digits_accepted_as_float_does(self, tmp_path):
+        m = load_features(write(tmp_path, "1_0,2.0\n"))
+        np.testing.assert_array_equal(m.values, [[10.0, 2.0]])
+
+    @pytest.mark.parametrize("load", [load_features, load_probabilities])
+    def test_trailing_comma_is_non_numeric(self, tmp_path, load):
+        with pytest.raises(DataFormatError, match="non-numeric token at line 2"):
+            load(write(tmp_path, "\n0.5,0.5,\n"))
+
+    @pytest.mark.parametrize("load", [load_features, load_probabilities])
+    def test_nan_names_its_line(self, tmp_path, load):
+        with pytest.raises(DataFormatError, match="non-finite value at line 3"):
+            load(write(tmp_path, "0.5,0.5\n0.25,0.75\nnan,0.5\n"))
+
+    def test_comment_line_is_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="non-numeric token at line 1"):
+            load_features(write(tmp_path, "# header\n1.0,2.0\n"))
+
+    def test_trailing_comment_is_rejected(self, tmp_path):
+        with pytest.raises(DataFormatError, match="non-numeric token at line 2"):
+            load_features(write(tmp_path, "1.0,2.0\n3.0,4.0 # note\n"))
+
+    @pytest.mark.parametrize("text", ["\n\n\n", "\r\n\r\n", "  \n\t\n"])
+    def test_blank_lines_only_is_empty(self, tmp_path, text):
+        with pytest.raises(EmptyInputError):
+            load_features(write(tmp_path, text))
+
+    def test_ragged_row_after_blank_lines_names_real_line(self, tmp_path):
+        with pytest.raises(DataFormatError, match="ragged row at line 4: expected 2 fields, got 1"):
+            load_features(write(tmp_path, "1.0,2.0\n\n\n3.0\n"))
+
+    def test_missing_file_error_is_the_open_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
+            load_features(tmp_path / "absent.csv")
 
 
 class TestLoadProbabilities:
@@ -99,11 +171,6 @@ class TestLoadProbabilities:
     def test_negative_entry(self, tmp_path):
         with pytest.raises(DataFormatError, match="out of"):
             load_probabilities(write(tmp_path, "-0.5,1.5"))
-
-
-def test_label_vector_validates_range():
-    with pytest.raises(DataFormatError):
-        LabelVector(np.array([0, 3]), num_classes=3)
 
 
 def test_probability_matrix_validates_rows():

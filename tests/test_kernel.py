@@ -1,10 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from targetsel import kernel
 from targetsel.datastore import FeatureMatrix
-from targetsel.errors import DegenerateFeatureError, ShapeError
+from targetsel.errors import DegenerateFeatureError, ShapeError, SizeError
 from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel, regularize_psd
 
 
@@ -58,6 +61,50 @@ class TestBuildKernel:
         ab = build_kernel(a, b, KernelConfig())
         ba = build_kernel(b, a, KernelConfig())
         np.testing.assert_array_equal(ab.values.T, ba.values)
+
+
+def unknown_sysconf_name(name):
+    raise ValueError(f"unrecognized configuration name {name}")
+
+
+class TestMemoryGuard:
+    A = fm([[1, 0], [0, 1]])
+    B = fm([[1, 0], [0, 1], [1, 1]])
+
+    def test_limit_is_physical_memory(self):
+        if not hasattr(os, "sysconf"):
+            pytest.skip("no sysconf on this platform")
+        assert kernel.MEMORY_LIMIT == os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_kernel_beyond_limit_raises_with_size(self, monkeypatch, swap):
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 2 * 3 - 1)
+        a, b = (self.B, self.A) if swap else (self.A, self.B)
+        with pytest.raises(SizeError, match="needs 48 bytes"):
+            build_kernel(a, b)
+
+    def test_kernel_at_limit_builds(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 2 * 3)
+        assert build_kernel(self.A, self.B).shape == (2, 3)
+
+    def test_within_set_kernel_counts_square(self, monkeypatch):
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 3 * 3 - 1)
+        with pytest.raises(SizeError, match="3 x 3"):
+            build_kernel(self.B, self.B)
+
+    def test_no_guard_without_sysconf(self, monkeypatch):
+        monkeypatch.delattr(os, "sysconf", raising=False)
+        assert kernel._physical_memory() is None
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", None)
+        assert build_kernel(self.A, self.B).shape == (2, 3)
+
+    @pytest.mark.parametrize("sysconf", [
+        unknown_sysconf_name,
+        lambda name: -1 if name == "SC_PHYS_PAGES" else 4096,  # "indeterminate"
+    ])
+    def test_no_guard_when_sysconf_cannot_tell(self, monkeypatch, sysconf):
+        monkeypatch.setattr(os, "sysconf", sysconf)
+        assert kernel._physical_memory() is None
 
 
 class TestRegularizePsd:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import targetsel
+from targetsel import kernel
 from targetsel.harness import config_from_dict
 from targetsel.errors import ConfigurationError
 from targetsel.pipeline import RunManifest, build_report, main, run_select
@@ -73,6 +74,12 @@ class TestSelectCommand:
         code = main(["select", "--method", "fl", "--budget", "1", "--unlabeled", bad])
         assert code == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_kernel_beyond_memory_is_input_error(self, pool_file, monkeypatch, capsys):
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 3 * 3 - 1)
+        code = main(["select", "--method", "fl", "--budget", "1", "--unlabeled", pool_file])
+        assert code == 2
+        assert "a 3 x 3 kernel needs 72 bytes" in capsys.readouterr().err
 
     def test_random_zero_budget(self, pool_file, tmp_path):
         out = tmp_path / "r.json"
