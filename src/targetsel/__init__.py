@@ -9,7 +9,7 @@ from .datastore import (  # noqa: F401
     load_probabilities,
     save_features,
 )
-from .kernel import KernelConfig, SimilarityKernel, build_kernel, regularize_psd  # noqa: F401
+from .kernel import KernelConfig, SimilarityKernel, build_kernel  # noqa: F401
 from .objectives import (  # noqa: F401
     KINDS,
     ObjectiveSpec,

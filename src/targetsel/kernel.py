@@ -17,7 +17,7 @@ from .errors import (ConfigurationError, DegenerateFeatureError, IndefiniteKerne
 METRICS = ("cosine", "dot")
 TRANSFORMS = ("none", "shift-scale", "clip")
 
-DEFAULT_RIDGE = 1e-6
+TILE = 256  # block side for in-place symmetrising: a mirrored pair of tiles is 1 MiB
 
 
 def _physical_memory():
@@ -37,7 +37,6 @@ MEMORY_LIMIT = _physical_memory()
 class KernelConfig:
     metric: str = "cosine"
     transform: str = "shift-scale"
-    psd_ridge: float = DEFAULT_RIDGE
 
     def __post_init__(self):
         if self.metric not in METRICS:
@@ -46,8 +45,6 @@ class KernelConfig:
             raise ConfigurationError(
                 f"unknown transform {self.transform!r}, expected one of {TRANSFORMS}"
             )
-        if self.psd_ridge < 0:
-            raise ConfigurationError("psd_ridge must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -66,7 +63,7 @@ class SimilarityKernel:
         if self.symmetric:
             if v.shape[0] != v.shape[1]:
                 raise ShapeError("symmetric kernel must be square")
-            if not np.array_equal(v, v.T):
+            if not all(np.array_equal(v[r, c], v[c, r].T) for r, c in _tile_pairs(len(v))):
                 raise ShapeError("symmetric flag set on a non-symmetric matrix")
         v = np.ascontiguousarray(v)
         v.setflags(write=False)
@@ -75,6 +72,24 @@ class SimilarityKernel:
     @property
     def shape(self):
         return self.values.shape
+
+
+def _tile_pairs(n):
+    """Yield (rows, cols) slices of the TILE blocks on and above the diagonal of n x n."""
+    for i in range(0, n, TILE):
+        rows = slice(i, i + TILE)
+        for j in range(i, n, TILE):
+            yield rows, slice(j, j + TILE)
+
+
+def _symmetrize(g):
+    """Overwrite square g with (g + g.T) / 2.0 by mirrored tiles, byte for byte the
+    same as the full-array formula because IEEE addition is commutative."""
+    for r, c in _tile_pairs(len(g)):
+        s = g[r, c] + g[c, r].T
+        s /= 2.0
+        g[r, c] = s
+        g[c, r] = s.T
 
 
 def _prepare_rows(x, metric, which):
@@ -91,10 +106,12 @@ def _prepare_rows(x, metric, which):
 
 
 def _apply_transform(g, transform):
+    """Apply the transform to g in place and return g."""
     if transform == "shift-scale":
-        return (1.0 + g) / 2.0
-    if transform == "clip":
-        return np.maximum(g, 0.0)
+        g += 1.0
+        g /= 2.0
+    elif transform == "clip":
+        np.maximum(g, 0.0, out=g)
     return g
 
 
@@ -103,8 +120,9 @@ def build_kernel(a, b, cfg=KernelConfig()):
 
     When a and b hold identical values the result is flagged symmetric, made
     exactly symmetric, and (under cosine) given an exact unit diagonal before
-    the transform. Cross kernels with r < c are computed as the transpose of
-    the swapped problem so that build(a, b).T == build(b, a) holds entrywise.
+    the transform, all in place: the peak is one n x n array plus a tile.
+    Cross kernels with r < c are computed as the transpose of the swapped
+    problem so that build(a, b).T == build(b, a) holds entrywise.
     Raises SizeError, before allocating, when the 8·r·c bytes of the result
     exceed MEMORY_LIMIT.
     """
@@ -120,7 +138,7 @@ def build_kernel(a, b, cfg=KernelConfig()):
     xa = _prepare_rows(a.values, cfg.metric, "left")
     if same:
         g = xa @ xa.T
-        g = (g + g.T) / 2.0
+        _symmetrize(g)
         if cfg.metric == "cosine":
             np.fill_diagonal(g, 1.0)
         return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=True)
@@ -129,19 +147,6 @@ def build_kernel(a, b, cfg=KernelConfig()):
     xb = _prepare_rows(b.values, cfg.metric, "right")
     g = xa @ xb.T
     return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=False)
-
-
-def regularize_psd(kernel, ridge):
-    """Return the kernel with `ridge` added to every diagonal entry."""
-    if not kernel.symmetric:
-        raise ShapeError("regularize_psd requires a symmetric within-set kernel")
-    if ridge < 0:
-        raise ShapeError("ridge must be nonnegative")
-    if ridge == 0:
-        return kernel
-    v = kernel.values.copy()
-    v[np.diag_indices_from(v)] += ridge
-    return SimilarityKernel(v, symmetric=True)
 
 
 def cholesky_or_raise(matrix, context):

@@ -85,8 +85,7 @@ def run_select(manifest):
     pool = load_features(manifest.unlabeled)
     method = manifest.method
     if method in KINDS:
-        kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform,
-                            psd_ridge=manifest.ridge)
+        kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
         need = KERNEL_REQUIREMENTS[method]
         target = _load_target(manifest) if _needs_target(method) else None
         spec = ObjectiveSpec(
@@ -111,6 +110,8 @@ def run_select(manifest):
         if manifest.probs is None:
             raise ConfigurationError(f"method {method!r} requires a probability file")
         probs = load_probabilities(manifest.probs)
+        if probs.rows != pool.rows:
+            raise ShapeError(f"probability file has {probs.rows} rows but the pool has {pool.rows}")
         k = min(manifest.budget, probs.rows)
         if method == "us":
             result = baselines.uncertainty_select(probs, k)

@@ -121,6 +121,41 @@ def random_kernels(rng, n, m, d=6):
     )
 
 
+def _transformed(g, transform):
+    if transform == "shift-scale":
+        return (1.0 + g) / 2.0
+    if transform == "clip":
+        return np.maximum(g, 0.0)
+    return g
+
+
+def _rows(x, metric):
+    x = np.asarray(x, dtype=np.float64)
+    if metric == "cosine":
+        return x / np.linalg.norm(x, axis=1)[:, None]
+    return x
+
+
+def within_set_kernel(x, cfg):
+    """The within-set kernel by the full-array formula the library used before
+    it worked in place: (g + g.T) / 2, then a unit diagonal under cosine, then
+    the transform, each step allocating a fresh n x n array."""
+    g = _rows(x, cfg.metric)
+    g = g @ g.T
+    g = (g + g.T) / 2.0
+    if cfg.metric == "cosine":
+        np.fill_diagonal(g, 1.0)
+    return _transformed(g, cfg.transform)
+
+
+def cross_kernel(x, y, cfg):
+    """The cross kernel by the full-array formula, computed with the taller
+    matrix on the left and transposed back when x has fewer rows."""
+    if len(x) < len(y):
+        return cross_kernel(y, x, cfg).T.copy()
+    return _transformed(_rows(x, cfg.metric) @ _rows(y, cfg.metric).T, cfg.transform)
+
+
 class SolveLogDet:
     """The scalar logdet/logdetmi gain as the library computed it before its
     gains read Cholesky residuals, kept as the reference for that path.

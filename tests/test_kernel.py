@@ -1,4 +1,6 @@
+import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,15 @@ from hypothesis import strategies as st
 from targetsel import kernel
 from targetsel.datastore import FeatureMatrix
 from targetsel.errors import DegenerateFeatureError, ShapeError, SizeError
-from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel, regularize_psd
+from targetsel.kernel import (METRICS, TILE, TRANSFORMS, KernelConfig, SimilarityKernel,
+                              build_kernel)
+
+from oracles import cross_kernel, within_set_kernel
+
+# Sizes around the tile edges: one entry, one short of a tile, exactly one,
+# one over, and two full tiles plus a partial one.
+TILE_EDGE_SIZES = (1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3)
+CONFIGS = [KernelConfig(metric=m, transform=t) for m, t in itertools.product(METRICS, TRANSFORMS)]
 
 
 def fm(rows):
@@ -107,32 +117,69 @@ class TestMemoryGuard:
         assert kernel._physical_memory() is None
 
 
-class TestRegularizePsd:
-    def test_identity_ridge(self):
-        k = SimilarityKernel(np.eye(2), symmetric=True)
-        out = regularize_psd(k, 1e-6)
-        np.testing.assert_allclose(np.diag(out.values), [1.000001, 1.000001])
+class TestAgainstFullArrayFormula:
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(TILE_EDGE_SIZES), st.integers(1, 12))
+    def test_within_set_same_bytes(self, cfg, seed, n, d):
+        x = np.random.default_rng(seed).standard_normal((n, d))
+        k = build_kernel(FeatureMatrix(x), FeatureMatrix(x.copy()), cfg)
+        assert k.symmetric
+        assert k.values.tobytes() == within_set_kernel(x, cfg).tobytes()
 
-    def test_zero_ridge_unchanged(self):
-        k = SimilarityKernel(np.eye(2), symmetric=True)
-        assert regularize_psd(k, 0.0) is k
-
-    def test_rank_one_plus_ridge_eigenvalues(self):
-        k = SimilarityKernel(np.ones((2, 2)), symmetric=True)
-        out = regularize_psd(k, 0.5)
-        np.testing.assert_allclose(out.values, [[1.5, 1.0], [1.0, 1.5]])
-        assert np.linalg.eigvalsh(out.values).min() == pytest.approx(0.5)
-
-    def test_requires_symmetric(self):
-        with pytest.raises(ShapeError):
-            regularize_psd(SimilarityKernel(np.array([[1.0, 0.5]])), 0.1)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8))
-    def test_cholesky_succeeds_after_ridge(self, seed, n):
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(TILE_EDGE_SIZES),
+           st.sampled_from(TILE_EDGE_SIZES), st.integers(1, 12))
+    def test_cross_same_bytes(self, cfg, seed, r, c, d):
         rng = np.random.default_rng(seed)
-        a = FeatureMatrix(rng.standard_normal((n, n + 2)))
-        k = build_kernel(a, a, KernelConfig())
-        ridged = regularize_psd(k, 1e-6)
-        factor = np.linalg.cholesky(ridged.values)
-        assert np.all(np.diag(factor) > 0)
+        x, y = rng.standard_normal((r, d)), rng.standard_normal((c, d))
+        k = build_kernel(FeatureMatrix(x), FeatureMatrix(y), cfg)
+        assert k.values.tobytes() == cross_kernel(x, y, cfg).tobytes()
+
+    @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+    def test_tiled_average_of_non_symmetric_matrix(self, n):
+        # A matmul never hands _symmetrize an asymmetric matrix, so drive it directly.
+        m = np.random.default_rng(n).standard_normal((n, n))
+        expected = (m + m.T) / 2.0
+        kernel._symmetrize(m)
+        assert m.tobytes() == expected.tobytes()
+
+
+class TestSymmetryCheck:
+    N = 2 * TILE + 3
+
+    @pytest.fixture(scope="class")
+    def symmetric(self):
+        x = np.random.default_rng(0).standard_normal((self.N, self.N))
+        return (x + x.T) / 2.0
+
+    def test_symmetric_matrix_accepted(self, symmetric):
+        assert SimilarityKernel(symmetric, symmetric=True).symmetric
+
+    # Every tile pair on and above the diagonal, including the diagonal tiles
+    # and the 3 x 3 partial tile in the corner, with the change above or below
+    # the diagonal.
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("bi,bj", [(i, j) for i in range(3) for j in range(i, 3)])
+    def test_one_changed_entry_is_rejected(self, symmetric, bi, bj, lower):
+        r, c = bi * TILE + 1, bj * TILE + 2
+        if lower:
+            r, c = c, r
+        m = symmetric.copy()
+        m[r, c] = np.nextafter(m[r, c], np.inf)
+        with pytest.raises(ShapeError, match="non-symmetric"):
+            SimilarityKernel(m, symmetric=True)
+
+
+def test_within_set_build_allocates_one_square_array():
+    n = 1200
+    a = FeatureMatrix(np.random.default_rng(0).standard_normal((n, 8)))
+    tracemalloc.start()
+    try:
+        k = build_kernel(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k.shape == (n, n)
+    assert peak < 1.5 * 8 * n * n

@@ -108,6 +108,16 @@ class TestSelectCommand:
         assert code == 0
         assert len(json.loads(out.read_text())["selected"]) == 2
 
+    @pytest.mark.parametrize("method", ["us", "tus"])
+    @pytest.mark.parametrize("rows", [2, 5])
+    def test_probs_rows_must_match_pool(self, pool_file, target_file, tmp_path, capsys,
+                                        method, rows):
+        probs = write(tmp_path / "probs.csv", "0.5,0.5\n" * rows)
+        code = main(["select", "--method", method, "--budget", str(rows),
+                     "--unlabeled", pool_file, "--probs", probs, "--target", target_file])
+        assert code == 2
+        assert f"probability file has {rows} rows but the pool has 3" in capsys.readouterr().err
+
     def test_subprocess_exit_codes(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "x,y\n")
         proc = run_cli(["select", "--method", "fl", "--budget", "1", "--unlabeled", bad])
