@@ -35,7 +35,6 @@ def random_select(n, k, seed):
         gains=[0.0] * k,
         total_value=0.0,
         evaluations=0,
-        rng_seed=seed,
     )
 
 
@@ -87,8 +86,7 @@ def badge_select(embeddings, k, seed):
     rng = np.random.default_rng(seed)
     chosen = []
     if k == 0:
-        return SelectionResult(selected=[], gains=[], total_value=0.0,
-                               evaluations=0, rng_seed=seed)
+        return SelectionResult(selected=[], gains=[], total_value=0.0, evaluations=0)
     first = int(rng.integers(n))
     chosen.append(first)
     d2 = ((x - x[first]) ** 2).sum(axis=1)
@@ -106,5 +104,4 @@ def badge_select(embeddings, k, seed):
         gains=[0.0] * k,
         total_value=0.0,
         evaluations=n * k,
-        rng_seed=seed,
     )

@@ -3,7 +3,7 @@
 Files are headerless CSV, one instance per line. They are parsed in bulk by
 numpy's C reader; input it rejects, or that holds a non-finite value, is
 re-read line by line so that the error names its line. Loaded containers are
-immutable and safe to share across threads.
+immutable and safe to share across threads; they copy a writeable input array.
 """
 
 import warnings
@@ -16,8 +16,10 @@ from .errors import DataFormatError, EmptyInputError
 ROW_SUM_TOL = 1e-6
 
 
-def _freeze(arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+def _freeze(values):
+    """Read-only C-contiguous float64 values, shared only if values is read-only."""
+    shared = isinstance(values, np.ndarray) and not values.flags.writeable
+    arr = np.array(values, dtype=np.float64, order="C", copy=None if shared else True)
     arr.setflags(write=False)
     return arr
 
@@ -29,12 +31,12 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataFormatError(f"feature matrix must be 2-D and nonempty, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DataFormatError("feature matrix contains non-finite entries")
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def rows(self):
@@ -52,7 +54,7 @@ class ProbabilityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataFormatError("probability matrix must be 2-D and nonempty")
         if np.any(v < 0) or np.any(v > 1):
@@ -66,7 +68,7 @@ class ProbabilityMatrix:
             raise DataFormatError(
                 f"row {off[0]} sums to {sums[off[0]]:.8g}, expected 1 within {ROW_SUM_TOL}"
             )
-        object.__setattr__(self, "values", _freeze(v))
+        object.__setattr__(self, "values", v)
 
     @property
     def rows(self):
@@ -118,9 +120,10 @@ def _read_csv(path):
             warnings.simplefilter("error", UserWarning)  # loadtxt only warns on empty input
             values = np.loadtxt(fh, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
     except (ValueError, UserWarning):
-        return _parse_csv(path)
-    if not np.isfinite(values).all():
-        return _parse_csv(path)
+        values = None
+    if values is None or not np.isfinite(values).all():
+        values = _parse_csv(path)
+    values.setflags(write=False)  # the container shares it without a copy
     return values
 
 

@@ -195,7 +195,9 @@ def gradient_embeddings(model, x, labels=None):
     y = p.argmax(axis=1) if labels is None else np.asarray(labels)
     resid = p.copy()
     resid[np.arange(len(y)), y] -= 1.0
-    return FeatureMatrix((resid[:, :, None] * xb[:, None, :]).reshape(len(y), -1))
+    emb = (resid[:, :, None] * xb[:, None, :]).reshape(len(y), -1)
+    emb.setflags(write=False)  # the container shares it without a copy
+    return FeatureMatrix(emb)
 
 
 def _accuracies(model, test, target_classes):
@@ -239,7 +241,7 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None)
             s_tt=kernels.get("tt") if "tt" in need else None,
             eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge,
         )
-        return greedy_maximize(spec, SelectionConfig(budget=k, rng_seed=seed))
+        return greedy_maximize(spec, SelectionConfig(budget=k))
     if method == "random":
         return baselines.random_select(lake_emb.rows, k, seed)
     if method == "us":

@@ -1,7 +1,8 @@
 """Dense similarity kernels between feature matrices.
 
-Within-set kernels are square and exactly symmetric; cross-set kernels are
-rectangular and transpose-consistent (build(a, b).T == build(b, a) entrywise).
+Within-set kernels are square and exactly symmetric as numpy returns x @ x.T
+(a rank-k update with one triangle mirrored into the other); cross-set kernels
+are rectangular and transpose-consistent (build(a, b).T == build(b, a)).
 The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
 """
@@ -11,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datastore import _freeze
 from .errors import (ConfigurationError, DegenerateFeatureError, IndefiniteKernelError,
                      ShapeError, SizeError)
 
 METRICS = ("cosine", "dot")
 TRANSFORMS = ("none", "shift-scale", "clip")
 
-TILE = 256  # block side for in-place symmetrising: a mirrored pair of tiles is 1 MiB
+TILE = 256  # block side for the exact symmetry check: a mirrored pair of tiles is 1 MiB
 
 
 def _physical_memory():
@@ -49,13 +51,13 @@ class KernelConfig:
 
 @dataclass(frozen=True)
 class SimilarityKernel:
-    """r x c matrix of pairwise similarities s_ij."""
+    """r x c matrix of pairwise similarities s_ij; a writeable input is copied."""
 
     values: np.ndarray
     symmetric: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = _freeze(self.values)
         if v.ndim != 2:
             raise ShapeError(f"kernel must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -65,8 +67,6 @@ class SimilarityKernel:
                 raise ShapeError("symmetric kernel must be square")
             if not all(np.array_equal(v[r, c], v[c, r].T) for r, c in _tile_pairs(len(v))):
                 raise ShapeError("symmetric flag set on a non-symmetric matrix")
-        v = np.ascontiguousarray(v)
-        v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
     @property
@@ -80,16 +80,6 @@ def _tile_pairs(n):
         rows = slice(i, i + TILE)
         for j in range(i, n, TILE):
             yield rows, slice(j, j + TILE)
-
-
-def _symmetrize(g):
-    """Overwrite square g with (g + g.T) / 2.0 by mirrored tiles, byte for byte the
-    same as the full-array formula because IEEE addition is commutative."""
-    for r, c in _tile_pairs(len(g)):
-        s = g[r, c] + g[c, r].T
-        s /= 2.0
-        g[r, c] = s
-        g[c, r] = s.T
 
 
 def _prepare_rows(x, metric, which):
@@ -106,21 +96,23 @@ def _prepare_rows(x, metric, which):
 
 
 def _apply_transform(g, transform):
-    """Apply the transform to g in place and return g."""
+    """Apply the transform to g in place, make g read-only and return it."""
     if transform == "shift-scale":
         g += 1.0
         g /= 2.0
     elif transform == "clip":
         np.maximum(g, 0.0, out=g)
+    g.setflags(write=False)  # SimilarityKernel shares a read-only array without a copy
     return g
 
 
 def build_kernel(a, b, cfg=KernelConfig()):
     """Build the r x c similarity kernel between feature matrices a and b.
 
-    When a and b hold identical values the result is flagged symmetric, made
-    exactly symmetric, and (under cosine) given an exact unit diagonal before
-    the transform, all in place: the peak is one n x n array plus a tile.
+    When a and b hold identical values the result is flagged symmetric, is
+    exactly symmetric as the matrix product returns it, and (under cosine) gets
+    an exact unit diagonal before the transform, all in place: the peak is one
+    n x n array.
     Cross kernels with r < c are computed as the transpose of the swapped
     problem so that build(a, b).T == build(b, a) holds entrywise.
     Raises SizeError, before allocating, when the 8·r·c bytes of the result
@@ -138,12 +130,11 @@ def build_kernel(a, b, cfg=KernelConfig()):
     xa = _prepare_rows(a.values, cfg.metric, "left")
     if same:
         g = xa @ xa.T
-        _symmetrize(g)
         if cfg.metric == "cosine":
             np.fill_diagonal(g, 1.0)
         return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=True)
     if a.rows < b.rows:
-        return SimilarityKernel(build_kernel(b, a, cfg).values.T.copy(), symmetric=False)
+        return SimilarityKernel(build_kernel(b, a, cfg).values.T, symmetric=False)
     xb = _prepare_rows(b.values, cfg.metric, "right")
     g = xa @ xb.T
     return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=False)

@@ -42,6 +42,14 @@ KERNEL_REQUIREMENTS = {
 SUBMODULAR_KINDS = frozenset(KINDS) - {"dsum", "gcmi_div", "logdetmi"}
 
 
+def check_parameters(eta, gamma, lambda_gc, ridge):
+    """Reject a negative eta, gamma or ridge, or lambda_gc outside [0, 1]."""
+    if eta < 0 or gamma < 0 or ridge < 0:
+        raise ConfigurationError("eta, gamma and ridge must be nonnegative")
+    if not 0.0 <= lambda_gc <= 1.0:
+        raise ConfigurationError("lambda_gc must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Which set function to maximize, its parameters, and its kernels."""
@@ -58,10 +66,7 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
-        if self.eta < 0 or self.gamma < 0 or self.ridge < 0:
-            raise ConfigurationError("eta, gamma and ridge must be nonnegative")
-        if not 0.0 <= self.lambda_gc <= 1.0:
-            raise ConfigurationError("lambda_gc must lie in [0, 1]")
+        check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
         kernels = {"uu": self.s_uu, "ut": self.s_ut, "tt": self.s_tt}
         for name in KERNEL_REQUIREMENTS[self.kind]:
             if kernels[name] is None:

@@ -8,7 +8,7 @@ early on zero or negative gains.
 """
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
@@ -28,7 +28,6 @@ ALGORITHMS = ("naive", "lazy", "exhaustive")
 class SelectionConfig:
     budget: int
     algorithm: str = "lazy"
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.budget < 0:
@@ -46,7 +45,6 @@ class SelectionResult:
     total_value: float
     evaluations: int
     truncated: bool = False
-    rng_seed: int = field(default=0)
 
 
 def _naive_greedy(obj, k):
@@ -129,7 +127,6 @@ def greedy_maximize(spec, cfg, ground_size=None):
         total_value=state.value,
         evaluations=evals,
         truncated=truncated,
-        rng_seed=cfg.rng_seed,
     )
 
 

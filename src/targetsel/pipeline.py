@@ -26,7 +26,7 @@ from .errors import (
     check_numeric_fields,
 )
 from .kernel import KernelConfig, build_kernel
-from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec
+from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec, check_parameters
 from .optimizer import SelectionConfig, greedy_maximize
 
 METHODS = KINDS + harness.BASELINE_KINDS
@@ -56,11 +56,13 @@ class RunManifest:
     version: str = __version__
 
     def __post_init__(self):
+        # Every check runs here, before run_select opens any input.
         check_numeric_fields(self)
         if self.method not in METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
-        if self.budget < 0:
-            raise ConfigurationError("budget must be nonnegative")
+        check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
+        KernelConfig(metric=self.metric, transform=self.transform)
+        SelectionConfig(budget=self.budget, algorithm=self.algorithm)
 
 
 def _needs_target(method):
@@ -84,8 +86,8 @@ def run_select(manifest):
     """Execute the selection a manifest describes; returns a SelectionResult."""
     pool = load_features(manifest.unlabeled)
     method = manifest.method
+    kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
     if method in KINDS:
-        kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
         need = KERNEL_REQUIREMENTS[method]
         target = _load_target(manifest) if _needs_target(method) else None
         spec = ObjectiveSpec(
@@ -98,9 +100,8 @@ def run_select(manifest):
             lambda_gc=manifest.lambda_gc,
             ridge=manifest.ridge,
         )
-        cfg = SelectionConfig(budget=manifest.budget, algorithm=manifest.algorithm,
-                              rng_seed=manifest.seed)
-        return greedy_maximize(spec, cfg)
+        return greedy_maximize(spec, SelectionConfig(budget=manifest.budget,
+                                                     algorithm=manifest.algorithm))
     if method == "random":
         result = baselines.random_select(pool.rows, min(manifest.budget, pool.rows),
                                          manifest.seed)
@@ -117,7 +118,6 @@ def run_select(manifest):
             result = baselines.uncertainty_select(probs, k)
         else:
             target = _load_target(manifest)
-            kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
             result = baselines.targeted_uncertainty_select(
                 probs, build_kernel(pool, target, kcfg), k
             )

@@ -54,6 +54,21 @@ class TestLoadFeatures:
         with pytest.raises(ValueError):
             m.values[0, 0] = 5.0
 
+    def test_parsed_array_is_shared_not_copied(self, tmp_path):
+        parsed = datastore._read_csv(write(tmp_path, "1.0,2.0\n3.0,4.0"))
+        assert not parsed.flags.writeable
+        assert np.shares_memory(FeatureMatrix(parsed).values, parsed)
+
+
+@pytest.mark.parametrize("container", [FeatureMatrix, ProbabilityMatrix])
+def test_caller_array_stays_writeable(container):
+    m = np.eye(2)
+    c = container(m)
+    m[0, 1] = 0.5
+    assert m.flags.writeable
+    assert c.values[0, 1] == 0.0
+    assert not c.values.flags.writeable
+
 
 class TestRoundTrip:
     @settings(max_examples=50, deadline=None)

@@ -137,13 +137,17 @@ class TestAgainstFullArrayFormula:
         k = build_kernel(FeatureMatrix(x), FeatureMatrix(y), cfg)
         assert k.values.tobytes() == cross_kernel(x, y, cfg).tobytes()
 
-    @pytest.mark.parametrize("n", TILE_EDGE_SIZES)
-    def test_tiled_average_of_non_symmetric_matrix(self, n):
-        # A matmul never hands _symmetrize an asymmetric matrix, so drive it directly.
-        m = np.random.default_rng(n).standard_normal((n, n))
-        expected = (m + m.T) / 2.0
-        kernel._symmetrize(m)
-        assert m.tobytes() == expected.tobytes()
+
+# build_kernel keeps xa @ xa.T as numpy returns it, with nothing averaging the
+# two triangles, so the product itself must be exactly symmetric.
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("n", TILE_EDGE_SIZES)
+@pytest.mark.parametrize("d", (1, 65, 650))
+def test_within_set_product_is_exactly_symmetric(metric, n, d):
+    a = FeatureMatrix(np.random.default_rng(1000 * n + d).standard_normal((n, d)))
+    xa = kernel._prepare_rows(a.values, metric, "left")
+    g = xa @ xa.T
+    assert g.tobytes() == g.T.tobytes()
 
 
 class TestSymmetryCheck:
@@ -183,3 +187,18 @@ def test_within_set_build_allocates_one_square_array():
         tracemalloc.stop()
     assert k.shape == (n, n)
     assert peak < 1.5 * 8 * n * n
+
+
+class TestCallerArray:
+    def test_writeable_input_is_copied(self):
+        m = np.eye(2)
+        k = SimilarityKernel(m, symmetric=True)
+        m[0, 1] = 0.5
+        assert m.flags.writeable
+        assert k.values[0, 1] == 0.0
+        assert not k.values.flags.writeable
+
+    def test_read_only_input_is_shared(self):
+        m = np.eye(2)
+        m.setflags(write=False)
+        assert np.shares_memory(SimilarityKernel(m, symmetric=True).values, m)

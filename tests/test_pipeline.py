@@ -203,6 +203,23 @@ class TestManifestErrors:
         assert self._replay(pool_file, target_file, tmp_path, **changes) == 3
         assert "configuration error" in capsys.readouterr().err
 
+    # RunManifest checks every setting before any file is opened: the inputs
+    # here do not exist, which would otherwise be an input error (exit 2).
+    @pytest.mark.parametrize("flag,value", [("--ridge", "-1"), ("--eta", "-1"),
+                                            ("--gamma", "-1"), ("--lambda-gc", "1.5")])
+    def test_bad_parameter_rejected_before_reading_input(self, tmp_path, capsys, flag, value):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["select", "--method", "logdetmi", "--unlabeled", missing,
+                     "--target", missing, flag, value]) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("changes", [{"metric": "bogus"}, {"transform": "bogus"},
+                                         {"algorithm": "bogus"}])
+    def test_bad_setting_rejected_before_reading_input(self, tmp_path, capsys, changes):
+        missing = str(tmp_path / "missing.csv")
+        assert self._replay(missing, missing, tmp_path, **changes) == 3
+        assert "configuration error" in capsys.readouterr().err
+
     def test_unknown_key_is_config_error(self, pool_file, target_file, tmp_path, capsys):
         assert self._replay(pool_file, target_file, tmp_path, shards=4) == 3
         assert "shards" in capsys.readouterr().err
