@@ -16,10 +16,12 @@ from .errors import DataFormatError, EmptyInputError
 ROW_SUM_TOL = 1e-6
 
 
-def _freeze(values):
-    """Read-only C-contiguous float64 values, shared only if values is read-only."""
-    shared = isinstance(values, np.ndarray) and not values.flags.writeable
-    arr = np.array(values, dtype=np.float64, order="C", copy=None if shared else True)
+def freeze(values):
+    """Read-only C-contiguous float64 values: a read-only input is shared, any other copied."""
+    if isinstance(values, np.ndarray) and not values.flags.writeable:
+        arr = np.ascontiguousarray(values, dtype=np.float64)
+    else:
+        arr = np.array(values, dtype=np.float64, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -31,7 +33,7 @@ class FeatureMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _freeze(self.values)
+        v = freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataFormatError(f"feature matrix must be 2-D and nonempty, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -54,7 +56,7 @@ class ProbabilityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _freeze(self.values)
+        v = freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataFormatError("probability matrix must be 2-D and nonempty")
         if np.any(v < 0) or np.any(v > 1):
@@ -123,7 +125,7 @@ def _read_csv(path):
         values = None
     if values is None or not np.isfinite(values).all():
         values = _parse_csv(path)
-    values.setflags(write=False)  # the container shares it without a copy
+    values.setflags(write=False)  # shared, not copied: see freeze
     return values
 
 

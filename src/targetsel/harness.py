@@ -196,7 +196,7 @@ def gradient_embeddings(model, x, labels=None):
     resid = p.copy()
     resid[np.arange(len(y)), y] -= 1.0
     emb = (resid[:, :, None] * xb[:, None, :]).reshape(len(y), -1)
-    emb.setflags(write=False)  # the container shares it without a copy
+    emb.setflags(write=False)  # shared, not copied: see datastore.freeze
     return FeatureMatrix(emb)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import _freeze
+from .datastore import freeze
 from .errors import (ConfigurationError, DegenerateFeatureError, IndefiniteKernelError,
                      ShapeError, SizeError)
 
@@ -57,7 +57,7 @@ class SimilarityKernel:
     symmetric: bool = False
 
     def __post_init__(self):
-        v = _freeze(self.values)
+        v = freeze(self.values)
         if v.ndim != 2:
             raise ShapeError(f"kernel must be 2-D, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
@@ -102,7 +102,7 @@ def _apply_transform(g, transform):
         g /= 2.0
     elif transform == "clip":
         np.maximum(g, 0.0, out=g)
-    g.setflags(write=False)  # SimilarityKernel shares a read-only array without a copy
+    g.setflags(write=False)  # shared, not copied: see datastore.freeze
     return g
 
 

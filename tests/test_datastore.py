@@ -15,6 +15,7 @@ from targetsel.datastore import (
     save_features,
 )
 from targetsel.errors import DataFormatError, EmptyInputError
+from targetsel.kernel import SimilarityKernel
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -60,7 +61,14 @@ class TestLoadFeatures:
         assert np.shares_memory(FeatureMatrix(parsed).values, parsed)
 
 
-@pytest.mark.parametrize("container", [FeatureMatrix, ProbabilityMatrix])
+@pytest.mark.parametrize(
+    "container",
+    [
+        FeatureMatrix,
+        ProbabilityMatrix,
+        pytest.param(lambda m: SimilarityKernel(m, symmetric=True), id="SimilarityKernel"),
+    ],
+)
 def test_caller_array_stays_writeable(container):
     m = np.eye(2)
     c = container(m)

@@ -190,15 +190,14 @@ def test_within_set_build_allocates_one_square_array():
 
 
 class TestCallerArray:
-    def test_writeable_input_is_copied(self):
-        m = np.eye(2)
-        k = SimilarityKernel(m, symmetric=True)
-        m[0, 1] = 0.5
-        assert m.flags.writeable
-        assert k.values[0, 1] == 0.0
-        assert not k.values.flags.writeable
-
     def test_read_only_input_is_shared(self):
         m = np.eye(2)
         m.setflags(write=False)
         assert np.shares_memory(SimilarityKernel(m, symmetric=True).values, m)
+
+    def test_read_only_strided_input_is_copied_contiguous(self):
+        m = np.arange(6.0).reshape(2, 3).T
+        m.setflags(write=False)
+        v = SimilarityKernel(m).values
+        assert v.flags.c_contiguous and not v.flags.writeable
+        assert np.array_equal(v, m)
