@@ -16,7 +16,7 @@ from . import baselines
 from .datastore import FeatureMatrix, ProbabilityMatrix
 from .errors import ConfigurationError, DivergenceError, SizeError, check_numeric_fields
 from .kernel import KernelConfig, build_kernel
-from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec
+from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec, check_parameters
 from .optimizer import SelectionConfig, greedy_maximize
 
 BASELINE_KINDS = ("random", "us", "tus", "badge")
@@ -46,6 +46,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_numeric_fields(self)
+        check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
         if self.budget > 0 and self.target_set_size >= self.budget:
@@ -228,9 +229,10 @@ class KernelCache:
         return self._built[name]
 
 
-def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None):
-    """Dispatch one selection method over the lake. Returns a SelectionResult."""
-    k = cfg.budget
+def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None,
+                   algorithm="lazy"):
+    """Dispatch one selection method over the lake. Returns a SelectionResult;
+    every method clamps the budget to the lake and flags a clamped one truncated."""
     kernels = kernels or KernelCache(lake_emb, target_emb)
     if method in KINDS:
         need = KERNEL_REQUIREMENTS[method]
@@ -241,16 +243,20 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None)
             s_tt=kernels.get("tt") if "tt" in need else None,
             eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge,
         )
-        return greedy_maximize(spec, SelectionConfig(budget=k))
+        return greedy_maximize(spec, SelectionConfig(budget=cfg.budget, algorithm=algorithm))
+    k = min(cfg.budget, lake_emb.rows)
     if method == "random":
-        return baselines.random_select(lake_emb.rows, k, seed)
-    if method == "us":
-        return baselines.uncertainty_select(probs, k)
-    if method == "tus":
-        return baselines.targeted_uncertainty_select(probs, kernels.get("ut"), k)
-    if method == "badge":
-        return baselines.badge_select(lake_emb, k, seed)
-    raise ConfigurationError(f"unknown selection method {method!r}")
+        result = baselines.random_select(lake_emb.rows, k, seed)
+    elif method == "us":
+        result = baselines.uncertainty_select(probs, k)
+    elif method == "tus":
+        result = baselines.targeted_uncertainty_select(probs, kernels.get("ut"), k)
+    elif method == "badge":
+        result = baselines.badge_select(lake_emb, k, seed)
+    else:
+        raise ConfigurationError(f"unknown selection method {method!r}")
+    result.truncated = cfg.budget > lake_emb.rows
+    return result
 
 
 @dataclass

@@ -155,6 +155,30 @@ class Objective:
             raise ValueError(f"index {a} already selected")
 
 
+class _RunningMax(Objective):
+    """Keeps aux["cur"], the elementwise max of self.rows over the selected set."""
+
+    def _commit(self, state, a):
+        if not state.selected:
+            state.aux["cur"] = self.rows[a].copy()
+        else:
+            np.maximum(state.aux["cur"], self.rows[a], out=state.aux["cur"])
+
+
+class _RunningSum(Objective):
+    """Keeps aux["sel_sim"], the sum of pool-kernel rows over the selected set."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.uu = spec.s_uu.values
+
+    def _commit(self, state, a):
+        if not state.selected:
+            state.aux["sel_sim"] = self.uu[a].copy()
+        else:
+            state.aux["sel_sim"] += self.uu[a]
+
+
 class GraphCutMI(Objective):
     """2 * sum_{i in A} sum_{j in Q} s_ij; modular in A."""
 
@@ -172,55 +196,43 @@ class GraphCutMI(Objective):
         pass
 
 
-class FacilityLocationMI1(Objective):
+class FacilityLocationMI1(_RunningMax):
     """sum_i min(max_{j in A} s_ij, eta * max_{j in Q} s_ij)."""
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.uu = spec.s_uu.values
+        self.rows = spec.s_uu.values
         self.q = spec.eta * spec.s_ut.values.max(axis=1)
 
     def _evaluate(self, indices):
-        cur = self.uu[indices].max(axis=0)
+        cur = self.rows[indices].max(axis=0)
         return float(np.minimum(cur, self.q).sum())
 
     def _gain(self, state, a):
         if not state.selected:
-            return float(np.minimum(self.uu[a], self.q).sum())
-        cur = np.maximum(state.aux["cur"], self.uu[a])
+            return float(np.minimum(self.rows[a], self.q).sum())
+        cur = np.maximum(state.aux["cur"], self.rows[a])
         return float(np.minimum(cur, self.q).sum()) - state.value
 
-    def _commit(self, state, a):
-        if not state.selected:
-            state.aux["cur"] = self.uu[a].copy()
-        else:
-            np.maximum(state.aux["cur"], self.uu[a], out=state.aux["cur"])
 
-
-class FacilityLocationMI2(Objective):
+class FacilityLocationMI2(_RunningMax):
     """Bidirectional representation: target coverage plus eta * pool relevance."""
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.ut = spec.s_ut.values
-        self.rowmax = self.ut.max(axis=1)
+        self.rows = spec.s_ut.values
+        self.rowmax = self.rows.max(axis=1)
 
     def _evaluate(self, indices):
-        cover = self.ut[indices, :].max(axis=0).sum()
+        cover = self.rows[indices, :].max(axis=0).sum()
         return float(cover + self.spec.eta * self.rowmax[indices].sum())
 
     def _gain(self, state, a):
         rel = self.spec.eta * self.rowmax[a]
         if not state.selected:
-            return float(self.ut[a].sum() + rel)
-        curq = state.aux["curq"]
-        return float(np.maximum(curq, self.ut[a]).sum() - curq.sum() + rel)
-
-    def _commit(self, state, a):
-        if not state.selected:
-            state.aux["curq"] = self.ut[a].copy()
-        else:
-            np.maximum(state.aux["curq"], self.ut[a], out=state.aux["curq"])
+            return float(self.rows[a].sum() + rel)
+        cur = state.aux["cur"]
+        return float(np.maximum(cur, self.rows[a]).sum() - cur.sum() + rel)
 
 
 class _ResidualLogDet(Objective):
@@ -300,69 +312,27 @@ class LogDetMI(_ResidualLogDet):
         return float(ld1 - ld2)
 
 
-class GraphCutMIDiversity(Objective):
-    """gcmi plus gamma times disparity-sum over the pool kernel.
-
-    The diversity term has increasing gains, so the combined function is not
-    submodular and stale lazy bounds are unsound.
-    """
-
-    lazy_safe = False
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.row2 = 2.0 * spec.s_ut.values.sum(axis=1)
-        self.uu = spec.s_uu.values
-
-    def _evaluate(self, indices):
-        idx = np.asarray(indices)
-        pair = len(idx) * (len(idx) - 1) / 2.0 - np.triu(self.uu[np.ix_(idx, idx)], 1).sum()
-        return float(self.row2[idx].sum() + self.spec.gamma * pair)
-
-    def _gain(self, state, a):
-        sel_sim = state.aux["sel_sim"][a] if state.selected else 0.0
-        div = len(state.selected) - sel_sim
-        return float(self.row2[a] + self.spec.gamma * div)
-
-    def _gains(self, state, free):
-        sel_sim = state.aux["sel_sim"] if state.selected else np.zeros(self.n)
-        return self.row2 + self.spec.gamma * (len(state.selected) - sel_sim)
-
-    def _commit(self, state, a):
-        if not state.selected:
-            state.aux["sel_sim"] = self.uu[a].copy()
-        else:
-            state.aux["sel_sim"] += self.uu[a]
-
-
-class FacilityLocation(Objective):
+class FacilityLocation(_RunningMax):
     """sum_i max_{j in A} s_ij over the pool kernel."""
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.uu = spec.s_uu.values
+        self.rows = spec.s_uu.values
 
     def _evaluate(self, indices):
-        return float(self.uu[indices].max(axis=0).sum())
+        return float(self.rows[indices].max(axis=0).sum())
 
     def _gain(self, state, a):
         if not state.selected:
-            return float(self.uu[a].sum())
-        return float(np.maximum(state.aux["cur"], self.uu[a]).sum()) - state.value
-
-    def _commit(self, state, a):
-        if not state.selected:
-            state.aux["cur"] = self.uu[a].copy()
-        else:
-            np.maximum(state.aux["cur"], self.uu[a], out=state.aux["cur"])
+            return float(self.rows[a].sum())
+        return float(np.maximum(state.aux["cur"], self.rows[a]).sum()) - state.value
 
 
-class GraphCut(Objective):
+class GraphCut(_RunningSum):
     """sum_{i in V, j in A} s_ij - lambda * sum_{i,j in A} s_ij."""
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.uu = spec.s_uu.values
         self.colsum = self.uu.sum(axis=0)
 
     def _evaluate(self, indices):
@@ -374,12 +344,6 @@ class GraphCut(Objective):
     def _gain(self, state, a):
         sel_sim = state.aux["sel_sim"][a] if state.selected else 0.0
         return float(self.colsum[a] - self.spec.lambda_gc * (2.0 * sel_sim + self.uu[a, a]))
-
-    def _commit(self, state, a):
-        if not state.selected:
-            state.aux["sel_sim"] = self.uu[a].copy()
-        else:
-            state.aux["sel_sim"] += self.uu[a]
 
 
 class LogDet(_ResidualLogDet):
@@ -400,14 +364,10 @@ class LogDet(_ResidualLogDet):
         return float(ld)
 
 
-class DisparitySum(Objective):
+class DisparitySum(_RunningSum):
     """sum_{i<j in A} (1 - s_ij); diversity, not submodular."""
 
     lazy_safe = False
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.uu = spec.s_uu.values
 
     def _evaluate(self, indices):
         idx = np.asarray(indices)
@@ -424,11 +384,26 @@ class DisparitySum(Objective):
             return np.zeros(self.n)
         return len(state.selected) - state.aux["sel_sim"]
 
-    def _commit(self, state, a):
-        if not state.selected:
-            state.aux["sel_sim"] = self.uu[a].copy()
-        else:
-            state.aux["sel_sim"] += self.uu[a]
+
+class GraphCutMIDiversity(DisparitySum):
+    """gcmi plus gamma times disparity-sum over the pool kernel.
+
+    The diversity term has increasing gains, so the combined function is not
+    submodular and stale lazy bounds are unsound.
+    """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.row2 = 2.0 * spec.s_ut.values.sum(axis=1)
+
+    def _evaluate(self, indices):
+        return float(self.row2[indices].sum() + self.spec.gamma * super()._evaluate(indices))
+
+    def _gain(self, state, a):
+        return float(self.row2[a] + self.spec.gamma * super()._gain(state, a))
+
+    def _gains(self, state, free):
+        return self.row2 + self.spec.gamma * super()._gains(state, free)
 
 
 class CholeskyResiduals:

@@ -99,24 +99,22 @@ def _lazy_greedy(obj, k):
     return state, gains, evals
 
 
-def greedy_maximize(spec, cfg, ground_size=None):
+def greedy_maximize(spec, cfg):
     """Greedy-maximize the objective under a cardinality budget.
 
-    Returns min(budget, ground_size) indices; when the budget exceeds the
+    Returns min(budget, ground set size) indices; when the budget exceeds the
     ground set the result is flagged truncated.
     """
     obj = build_objective(spec)
-    if ground_size is not None and ground_size != obj.n:
-        raise ConfigurationError(
-            f"ground size {ground_size} disagrees with kernel size {obj.n}"
-        )
     truncated = cfg.budget > obj.n
     k = min(cfg.budget, obj.n)
     algorithm = cfg.algorithm
     if algorithm == "lazy" and not obj.lazy_safe:
         algorithm = "naive"  # stale bounds are unsound for non-submodular gains
     if algorithm == "exhaustive":
-        return exhaustive_maximize(spec, k)
+        result = exhaustive_maximize(spec, k)
+        result.truncated = truncated
+        return result
     if algorithm == "lazy" and k > 0:
         state, gains, evals = _lazy_greedy(obj, k)
     else:
@@ -130,7 +128,7 @@ def greedy_maximize(spec, cfg, ground_size=None):
     )
 
 
-def exhaustive_maximize(spec, k, ground_size=None):
+def exhaustive_maximize(spec, k):
     """True optimum over all subsets of size at most k (test oracle).
 
     Ties are broken toward the lexicographically smallest index tuple, with
@@ -138,8 +136,6 @@ def exhaustive_maximize(spec, k, ground_size=None):
     """
     obj = build_objective(spec)
     n = obj.n
-    if ground_size is not None and ground_size != n:
-        raise ConfigurationError(f"ground size {ground_size} disagrees with kernel size {n}")
     k = min(k, n)
     total = sum(comb(n, r) for r in range(k + 1))
     if total > MAX_EXHAUSTIVE_SUBSETS:

@@ -12,7 +12,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 
-from . import __version__, baselines, harness
+from . import __version__, harness
 from .datastore import load_features, load_probabilities
 from .errors import (
     ConfigurationError,
@@ -25,9 +25,9 @@ from .errors import (
     SizeError,
     check_numeric_fields,
 )
-from .kernel import KernelConfig, build_kernel
-from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec, check_parameters
-from .optimizer import SelectionConfig, greedy_maximize
+from .kernel import KernelConfig
+from .objectives import KERNEL_REQUIREMENTS, KINDS, check_parameters
+from .optimizer import SelectionConfig
 
 METHODS = KINDS + harness.BASELINE_KINDS
 
@@ -66,9 +66,7 @@ class RunManifest:
 
 
 def _needs_target(method):
-    if method in KINDS:
-        return "ut" in KERNEL_REQUIREMENTS[method] or "tt" in KERNEL_REQUIREMENTS[method]
-    return method == "tus"
+    return method == "tus" or bool({"ut", "tt"} & KERNEL_REQUIREMENTS.get(method, set()))
 
 
 def _load_target(manifest):
@@ -86,43 +84,18 @@ def run_select(manifest):
     """Execute the selection a manifest describes; returns a SelectionResult."""
     pool = load_features(manifest.unlabeled)
     method = manifest.method
-    kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
-    if method in KINDS:
-        need = KERNEL_REQUIREMENTS[method]
-        target = _load_target(manifest) if _needs_target(method) else None
-        spec = ObjectiveSpec(
-            kind=method,
-            s_uu=build_kernel(pool, pool, kcfg) if "uu" in need else None,
-            s_ut=build_kernel(pool, target, kcfg) if "ut" in need else None,
-            s_tt=build_kernel(target, target, kcfg) if "tt" in need else None,
-            eta=manifest.eta,
-            gamma=manifest.gamma,
-            lambda_gc=manifest.lambda_gc,
-            ridge=manifest.ridge,
-        )
-        return greedy_maximize(spec, SelectionConfig(budget=manifest.budget,
-                                                     algorithm=manifest.algorithm))
-    if method == "random":
-        result = baselines.random_select(pool.rows, min(manifest.budget, pool.rows),
-                                         manifest.seed)
-    elif method == "badge":
-        result = baselines.badge_select(pool, min(manifest.budget, pool.rows), manifest.seed)
-    else:
+    probs = target = None
+    if method in ("us", "tus"):
         if manifest.probs is None:
             raise ConfigurationError(f"method {method!r} requires a probability file")
         probs = load_probabilities(manifest.probs)
         if probs.rows != pool.rows:
             raise ShapeError(f"probability file has {probs.rows} rows but the pool has {pool.rows}")
-        k = min(manifest.budget, probs.rows)
-        if method == "us":
-            result = baselines.uncertainty_select(probs, k)
-        else:
-            target = _load_target(manifest)
-            result = baselines.targeted_uncertainty_select(
-                probs, build_kernel(pool, target, kcfg), k
-            )
-    result.truncated = manifest.budget > pool.rows
-    return result
+    if _needs_target(method):
+        target = _load_target(manifest)
+    kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
+    return harness.select_indices(method, manifest, pool, target, probs, manifest.seed,
+                                  harness.KernelCache(pool, target, kcfg), manifest.algorithm)
 
 
 def build_report(manifest, result, wall_time_ms):
@@ -199,10 +172,28 @@ def _cmd_experiment(args):
     methods = raw.pop("methods", None)
     if args.methods:
         methods = args.methods.split(",")
+    if args.seeds is not None:
+        raw["seeds"] = args.seeds
+    if args.budget is not None:
+        raw["budget"] = args.budget
     cfg = harness.config_from_dict(raw)
+    start = time.perf_counter()
     report = harness.run_experiment(cfg, methods)
     _write_json(report.to_dict(), args.out)
+    # Per-seed target-class gains and their median, one row per method.
+    header = f"{'method':>10} | " + " ".join(f"s{seed:<5}" for seed in cfg.seeds) + " | median"
+    print(f"seeds={list(cfg.seeds)}  budget={cfg.budget}  lake={cfg.lake_size}  "
+          f"classes={cfg.num_classes}  ({time.perf_counter() - start:.1f}s)",
+          header, "-" * len(header), sep="\n", file=sys.stderr)
+    for method in report.methods:
+        gains = " ".join(f"{e['target_gain']:+.3f}" for e in report.entries[method])
+        median = report.aggregates[method]["median_target_gain"]
+        print(f"{method:>10} | {gains} | {median:+.4f}", file=sys.stderr)
     return 0
+
+
+def _int_list(text):
+    return [int(part) for part in text.split(",")]
 
 
 def build_parser():
@@ -235,6 +226,8 @@ def build_parser():
     exp = sub.add_parser("experiment", help="run the synthetic imbalance protocol")
     exp.add_argument("--config", help="JSON experiment config (may include 'methods')")
     exp.add_argument("--methods", help="comma-separated method list override")
+    exp.add_argument("--seeds", type=_int_list, help="comma-separated seed override, e.g. 0,1,2")
+    exp.add_argument("--budget", type=int, help="labeling budget override")
     exp.add_argument("--out", help="report path; '-' or omitted for stdout")
     exp.set_defaults(func=_cmd_experiment)
     return parser

@@ -175,6 +175,10 @@ class TestConfigFromDict:
         with pytest.raises(ConfigurationError, match="unknown"):
             config_from_dict({"nope": 1})
 
+    def test_negative_ridge(self):
+        with pytest.raises(ConfigurationError, match="ridge"):
+            config_from_dict({"ridge": -1.0})
+
     def test_invalid_target_budget_relation(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(budget=5, target_set_size=5)

@@ -17,6 +17,7 @@ from targetsel.objectives import (
     ObjectiveSpec,
 )
 from targetsel.optimizer import (
+    ALGORITHMS,
     SelectionConfig,
     _lazy_greedy,
     exhaustive_maximize,
@@ -57,9 +58,11 @@ class TestGreedyExamples:
 
     def test_budget_above_ground_set_truncates(self):
         ut = SimilarityKernel(np.array([[0.7], [0.5]]))
-        res = greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut), SelectionConfig(budget=5))
-        assert sorted(res.selected) == [0, 1]
-        assert res.truncated
+        for algorithm in ALGORITHMS:
+            res = greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut),
+                                  SelectionConfig(budget=5, algorithm=algorithm))
+            assert sorted(res.selected) == [0, 1]
+            assert res.truncated, algorithm
 
     def test_negative_gains_still_fill_budget(self):
         uu = SimilarityKernel(np.full((3, 3), 1.0), symmetric=True)

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import targetsel
-from targetsel import kernel
-from targetsel.harness import config_from_dict
+from targetsel import harness, kernel
+from targetsel.datastore import load_features, load_probabilities
+from targetsel.harness import ExperimentConfig, config_from_dict
 from targetsel.errors import ConfigurationError
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 
@@ -117,6 +118,29 @@ class TestSelectCommand:
                      "--unlabeled", pool_file, "--probs", probs, "--target", target_file])
         assert code == 2
         assert f"probability file has {rows} rows but the pool has 3" in capsys.readouterr().err
+
+    # Every method clamps a budget above the pool, through the harness and the
+    # CLI alike, and flags the result truncated.
+    @pytest.mark.parametrize("method", ["random", "us", "tus", "badge", "fl2mi"])
+    def test_budget_above_pool_is_clamped(self, pool_file, target_file, probs_file, tmp_path,
+                                          method):
+        result = harness.select_indices(
+            method, ExperimentConfig(budget=5, target_set_size=1), load_features(pool_file),
+            load_features(target_file), load_probabilities(probs_file), 0)
+        assert sorted(result.selected) == [0, 1, 2] and result.truncated
+        out = tmp_path / "over.json"
+        assert main(["select", "--method", method, "--budget", "5", "--unlabeled", pool_file,
+                     "--target", target_file, "--probs", probs_file, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["selected"] == result.selected and report["truncated"] is True
+
+    # naive greedy evaluates 3 + 2 candidates; exhaustive search 1 + 3 + 3 subsets
+    @pytest.mark.parametrize("algorithm,evaluations", [("naive", 5), ("exhaustive", 7)])
+    def test_algorithm_reaches_optimizer(self, pool_file, tmp_path, algorithm, evaluations):
+        out = tmp_path / "alg.json"
+        assert main(["select", "--method", "fl", "--budget", "2", "--unlabeled", pool_file,
+                     "--algorithm", algorithm, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["evaluations"] == evaluations
 
     def test_subprocess_exit_codes(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "x,y\n")
@@ -255,3 +279,31 @@ class TestManifestErrors:
         a, b = json.loads(first.read_text()), json.loads(replay.read_text())
         a.pop("wall_time_ms"), b.pop("wall_time_ms")
         assert a == b
+
+
+TINY_EXPERIMENT = {"num_classes": 4, "feature_dim": 8, "rare_train_count": 2,
+                   "common_train_count": 12, "lake_size": 40, "target_set_size": 4,
+                   "test_per_class": 6, "max_epochs": 50}
+
+
+class TestExperimentCommand:
+    def test_seed_and_budget_overrides(self, tmp_path, capsys):
+        config = write(tmp_path / "tiny.json", json.dumps(TINY_EXPERIMENT))
+        argv = ["experiment", "--config", config, "--seeds", "0", "--budget", "6",
+                "--methods", "random"]
+        out = tmp_path / "exp.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["config"]["seeds"] == [0] and report["config"]["budget"] == 6
+        assert list(report["entries"]) == ["random"]
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[1].split("|")[-1].strip() == "median"
+        assert [line.split("|")[0].strip() for line in lines[3:]] == ["random"]
+        # the table goes to stderr only: stdout carries the report as --out writes it
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_bad_parameter_rejected_before_running(self, tmp_path, capsys):
+        config = write(tmp_path / "bad.json", json.dumps({"ridge": -1}))
+        assert main(["experiment", "--config", config, "--methods", "random"]) == 3
+        assert "ridge" in capsys.readouterr().err
