@@ -7,7 +7,6 @@ from .datastore import (  # noqa: F401
     ProbabilityMatrix,
     load_features,
     load_probabilities,
-    save_features,
 )
 from .kernel import KernelConfig, SimilarityKernel, build_kernel  # noqa: F401
 from .objectives import (  # noqa: F401

@@ -134,14 +134,6 @@ def load_features(path):
     return FeatureMatrix(_read_csv(path))
 
 
-def save_features(matrix, path):
-    """Write a FeatureMatrix as CSV with 17 significant digits (round-trip exact)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in matrix.values:
-            fh.write(",".join("%.17g" % x for x in row))
-            fh.write("\n")
-
-
 def load_probabilities(path):
     """Load a row-stochastic ProbabilityMatrix from headerless CSV."""
     return ProbabilityMatrix(_read_csv(path))

@@ -9,17 +9,19 @@ target-class and overall test accuracy.
 
 import statistics
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
 from . import baselines
 from .datastore import FeatureMatrix, ProbabilityMatrix
-from .errors import ConfigurationError, DivergenceError, SizeError, check_numeric_fields
+from .errors import ConfigurationError, DivergenceError, check_numeric_fields
 from .kernel import KernelConfig, build_kernel
 from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec, check_parameters
 from .optimizer import SelectionConfig, greedy_maximize
 
 BASELINE_KINDS = ("random", "us", "tus", "badge")
+METHODS = KINDS + BASELINE_KINDS
 
 
 @dataclass(frozen=True)
@@ -45,16 +47,34 @@ class ExperimentConfig:
     target_classes: tuple = None  # fixed pair; None -> drawn per seed
 
     def __post_init__(self):
+        # Every check runs here, before run_experiment generates any data.
         check_numeric_fields(self)
         check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
+        if self.feature_dim < self.num_classes:
+            raise ConfigurationError("feature_dim must be at least num_classes")
+        train = (self.rare_train_count, self.common_train_count)
+        if min(train) < 0 or sum(train) < 1 or min(self.target_set_size, self.test_per_class) < 1:
+            raise ConfigurationError("every split needs a positive size; train counts nonnegative")
+        if self.lake_size < self.num_classes:
+            raise ConfigurationError("lake_size too small to cover every class")
+        if min(self.budget, self.max_epochs) < 0 or not self.learn_rate > 0:
+            raise ConfigurationError("budget and max_epochs must be nonnegative, learn_rate positive")
         if self.budget > 0 and self.target_set_size >= self.budget:
             raise ConfigurationError("target_set_size must be smaller than the budget")
-        if self.target_classes is not None:
-            a, b = self.target_classes
-            if a == b or not (0 <= a < self.num_classes and 0 <= b < self.num_classes):
-                raise ConfigurationError("target classes must be two distinct valid class ids")
+        seeds = self.seeds
+        if not (_is_int_tuple(seeds) and seeds and min(seeds) >= 0 and len(set(seeds)) == len(seeds)):
+            raise ConfigurationError(f"seeds must be distinct nonnegative integers, got {seeds!r}")
+        pair = self.target_classes
+        if pair is not None and not (_is_int_tuple(pair) and len(set(pair)) == len(pair) == 2
+                                     and all(0 <= c < self.num_classes for c in pair)):
+            raise ConfigurationError("target classes must be two distinct valid class ids")
+
+
+def _is_int_tuple(value):
+    return isinstance(value, tuple) and all(
+        isinstance(v, Integral) and not isinstance(v, bool) for v in value)
 
 
 @dataclass(frozen=True)
@@ -85,8 +105,6 @@ def _class_means(cfg):
     # +/- pair_separation. Every class then has one close neighbor, so an
     # imperfect model stays uncertain near many boundaries, not only near the
     # underrepresented ones.
-    if cfg.feature_dim < cfg.num_classes:
-        raise ConfigurationError("feature_dim must be at least num_classes")
     means = np.zeros((cfg.num_classes, cfg.feature_dim))
     half = (cfg.num_classes + 1) // 2
     for cls in range(cfg.num_classes):
@@ -128,8 +146,6 @@ def synthetic_generate(cfg, seed):
     ]
     lake_per_class, extra = divmod(cfg.lake_size, c)
     lake_counts = [lake_per_class + (1 if cls < extra else 0) for cls in range(c)]
-    if min(lake_counts) < 1:
-        raise SizeError("lake_size too small to cover every class")
     half, odd = divmod(cfg.target_set_size, 2)
     target_counts = [0] * c
     target_counts[targets[0]] = half + odd
@@ -283,6 +299,11 @@ DEFAULT_METHODS = ["fl2mi", "logdetmi", "gcmi_div", "random", "us"]
 def run_experiment(cfg, methods=None):
     """Run the full selection-and-retrain protocol over every (seed, method)."""
     methods = list(DEFAULT_METHODS if methods is None else methods)
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ConfigurationError(f"unknown selection method {method!r}")
+        if method in methods[:i]:
+            raise ConfigurationError(f"method {method!r} is listed twice")
     entries = {m: [] for m in methods}
     for seed in cfg.seeds:
         data = synthetic_generate(cfg, seed)
@@ -331,6 +352,6 @@ def config_from_dict(raw):
         raise ConfigurationError(f"unknown experiment config keys: {sorted(unknown)}")
     fixed = dict(raw)
     for key in ("seeds", "target_classes"):
-        if key in fixed and fixed[key] is not None:
+        if isinstance(fixed.get(key), list):
             fixed[key] = tuple(fixed[key])
     return replace(ExperimentConfig(), **fixed)

@@ -11,6 +11,7 @@ Conventions: the empty set evaluates to 0 for every kind; max over an empty
 index set is 0; the empty determinant is 1.
 """
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -82,12 +83,6 @@ class ObjectiveSpec:
             if self.s_tt.shape[0] != self.s_ut.shape[1]:
                 raise ConfigurationError("target and cross kernels disagree on target size")
 
-    @property
-    def ground_size(self):
-        if self.s_uu is not None:
-            return self.s_uu.shape[0]
-        return self.s_ut.shape[0]
-
 
 @dataclass
 class ObjectiveState:
@@ -99,13 +94,21 @@ class ObjectiveState:
 
 
 class Objective:
-    """Base: from-scratch evaluation plus incremental gain/commit."""
+    """Base: from-scratch evaluation plus incremental gain/commit.
+
+    Each kind writes its marginal gain once, as `_gain(state, idx)`,
+    elementwise in idx: an int gives one gain, a slice the gain of each index
+    in it, so `gain` and `gains` run the same arithmetic. A nan gain marks a
+    candidate the incremental state cannot score, which is evaluated from
+    scratch instead.
+    """
 
     lazy_safe = True
+    chunk = sys.maxsize  # candidates per _gain call in gains
 
     def __init__(self, spec):
         self.spec = spec
-        self.n = spec.ground_size
+        self.n = (spec.s_uu if spec.s_uu is not None else spec.s_ut).shape[0]
 
     def evaluate(self, indices):
         indices = list(indices)
@@ -122,28 +125,36 @@ class Objective:
 
     def gain(self, state, a):
         self._check_candidate(state, a)
-        return self._gain(state, a)
+        return self._scalar_gain(state, a)
 
     def gains(self, state):
         """Marginal gain of every candidate at once; -inf at selected indices."""
-        free = np.ones(self.n, dtype=bool)
-        free[state.selected] = False
-        out = self._gains(state, free)
-        out[~free] = -np.inf
+        out = np.empty(self.n)
+        for start in range(0, self.n, self.chunk):
+            rows = slice(start, start + self.chunk)
+            out[rows] = self._gain(state, rows)
+        out[state.selected] = -np.inf
+        for a in np.flatnonzero(np.isnan(out)):
+            out[a] = self._from_scratch(state, int(a))
         return out
 
     def commit(self, state, a):
         self._check_candidate(state, a)
-        g = self._gain(state, a)
+        g = self._scalar_gain(state, a)
         self._commit(state, a)
         state.selected.append(a)
         state.value += g
         return state
 
-    def _gains(self, state, free):
-        out = np.empty(self.n)
-        out[free] = [self._gain(state, int(a)) for a in np.flatnonzero(free)]
-        return out
+    def _scalar_gain(self, state, a):
+        g = float(self._gain(state, a))
+        return g if g == g else self._from_scratch(state, a)
+
+    def _from_scratch(self, state, a):
+        return self.evaluate(state.selected + [a]) - state.value
+
+    def _commit(self, state, a):
+        pass
 
     def _check_bounds(self, a):
         if not 0 <= a < self.n:
@@ -158,11 +169,16 @@ class Objective:
 class _RunningMax(Objective):
     """Keeps aux["cur"], the elementwise max of self.rows over the selected set."""
 
-    def _commit(self, state, a):
+    chunk = 256  # bounds each _gain call's temporaries to 256 rows
+
+    def _cover(self, state, idx):
+        """The running max with row(s) idx folded in."""
         if not state.selected:
-            state.aux["cur"] = self.rows[a].copy()
-        else:
-            np.maximum(state.aux["cur"], self.rows[a], out=state.aux["cur"])
+            return self.rows[idx]
+        return np.maximum(state.aux["cur"], self.rows[idx])
+
+    def _commit(self, state, a):
+        state.aux["cur"] = self._cover(state, a)
 
 
 class _RunningSum(Objective):
@@ -172,11 +188,11 @@ class _RunningSum(Objective):
         super().__init__(spec)
         self.uu = spec.s_uu.values
 
+    def new_state(self):
+        return ObjectiveState(aux={"sel_sim": np.zeros(self.n)})
+
     def _commit(self, state, a):
-        if not state.selected:
-            state.aux["sel_sim"] = self.uu[a].copy()
-        else:
-            state.aux["sel_sim"] += self.uu[a]
+        state.aux["sel_sim"] += self.uu[a]
 
 
 class GraphCutMI(Objective):
@@ -189,11 +205,8 @@ class GraphCutMI(Objective):
     def _evaluate(self, indices):
         return float(self.row2[indices].sum())
 
-    def _gain(self, state, a):
-        return float(self.row2[a])
-
-    def _commit(self, state, a):
-        pass
+    def _gain(self, state, idx):
+        return self.row2[idx]
 
 
 class FacilityLocationMI1(_RunningMax):
@@ -208,11 +221,8 @@ class FacilityLocationMI1(_RunningMax):
         cur = self.rows[indices].max(axis=0)
         return float(np.minimum(cur, self.q).sum())
 
-    def _gain(self, state, a):
-        if not state.selected:
-            return float(np.minimum(self.rows[a], self.q).sum())
-        cur = np.maximum(state.aux["cur"], self.rows[a])
-        return float(np.minimum(cur, self.q).sum()) - state.value
+    def _gain(self, state, idx):
+        return np.minimum(self._cover(state, idx), self.q).sum(axis=-1) - state.value
 
 
 class FacilityLocationMI2(_RunningMax):
@@ -227,12 +237,10 @@ class FacilityLocationMI2(_RunningMax):
         cover = self.rows[indices, :].max(axis=0).sum()
         return float(cover + self.spec.eta * self.rowmax[indices].sum())
 
-    def _gain(self, state, a):
-        rel = self.spec.eta * self.rowmax[a]
-        if not state.selected:
-            return float(self.rows[a].sum() + rel)
-        cur = state.aux["cur"]
-        return float(np.maximum(cur, self.rows[a]).sum() - cur.sum() + rel)
+    def _gain(self, state, idx):
+        rel = self.spec.eta * self.rowmax[idx]
+        base = state.aux["cur"].sum() if state.selected else 0.0
+        return self._cover(state, idx).sum(axis=-1) - base + rel
 
 
 class _ResidualLogDet(Objective):
@@ -240,35 +248,17 @@ class _ResidualLogDet(Objective):
 
     Subclasses set `kernels`, one (column, diag, name) triple per kernel; the
     gain of a is log d[a] for the first kernel minus log d[a] for each later
-    one. The scalar and the batched gain read the same residuals, and a commit
-    keeps no factor: the next sync folds it in. A candidate with a residual
-    d <= 0 re-evaluates from scratch.
+    one. A commit keeps no factor: the next sync folds it in. A residual that
+    lost positivity numerically (d <= 0) has a nan log, so its candidate is
+    evaluated from scratch.
     """
 
-    def _log_gain(self, ds, idx):
-        out = np.log(ds[0][idx])
-        for d in ds[1:]:
-            out = out - np.log(d[idx])
+    def _gain(self, state, idx):
+        logs = _synced_logs(state, self.kernels)
+        out = logs[0][idx]
+        for log_d in logs[1:]:
+            out = out - log_d[idx]
         return out
-
-    def _gain(self, state, a):
-        ds = _synced_residuals(state, self.kernels)
-        if all(d[a] > 0 for d in ds):
-            return float(self._log_gain(ds, a))
-        # the residual lost positivity numerically; evaluate from scratch
-        return self.evaluate(state.selected + [a]) - state.value
-
-    def _gains(self, state, free):
-        ds = _synced_residuals(state, self.kernels)
-        ok = free & np.logical_and.reduce([d > 0 for d in ds])
-        out = np.empty(self.n)
-        out[ok] = self._log_gain(ds, ok)
-        for a in np.flatnonzero(free & ~ok):
-            out[a] = self._gain(state, int(a))
-        return out
-
-    def _commit(self, state, a):
-        pass
 
 
 class LogDetMI(_ResidualLogDet):
@@ -305,11 +295,7 @@ class LogDetMI(_ResidualLogDet):
             self.w[:, indices].T @ self.w[:, indices]
         )
         cond[np.diag_indices_from(cond)] += self.eps
-        sign1, ld1 = np.linalg.slogdet(s_a)
-        sign2, ld2 = np.linalg.slogdet(cond)
-        if sign1 <= 0 or sign2 <= 0:
-            raise IndefiniteKernelError("log-det evaluation hit a non-PD matrix; increase the ridge")
-        return float(ld1 - ld2)
+        return float(_logdet(s_a) - _logdet(cond))
 
 
 class FacilityLocation(_RunningMax):
@@ -322,10 +308,8 @@ class FacilityLocation(_RunningMax):
     def _evaluate(self, indices):
         return float(self.rows[indices].max(axis=0).sum())
 
-    def _gain(self, state, a):
-        if not state.selected:
-            return float(self.rows[a].sum())
-        return float(np.maximum(state.aux["cur"], self.rows[a]).sum()) - state.value
+    def _gain(self, state, idx):
+        return self._cover(state, idx).sum(axis=-1) - state.value
 
 
 class GraphCut(_RunningSum):
@@ -334,6 +318,7 @@ class GraphCut(_RunningSum):
     def __init__(self, spec):
         super().__init__(spec)
         self.colsum = self.uu.sum(axis=0)
+        self.diag = self.uu.diagonal()
 
     def _evaluate(self, indices):
         idx = np.asarray(indices)
@@ -341,9 +326,9 @@ class GraphCut(_RunningSum):
             self.colsum[idx].sum() - self.spec.lambda_gc * self.uu[np.ix_(idx, idx)].sum()
         )
 
-    def _gain(self, state, a):
-        sel_sim = state.aux["sel_sim"][a] if state.selected else 0.0
-        return float(self.colsum[a] - self.spec.lambda_gc * (2.0 * sel_sim + self.uu[a, a]))
+    def _gain(self, state, idx):
+        sel_sim = state.aux["sel_sim"][idx]
+        return self.colsum[idx] - self.spec.lambda_gc * (2.0 * sel_sim + self.diag[idx])
 
 
 class LogDet(_ResidualLogDet):
@@ -357,11 +342,7 @@ class LogDet(_ResidualLogDet):
                          self.uu.diagonal() + self.eps, "pool kernel"),)
 
     def _evaluate(self, indices):
-        m = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
-        sign, ld = np.linalg.slogdet(m)
-        if sign <= 0:
-            raise IndefiniteKernelError("log-det evaluation hit a non-PD matrix; increase the ridge")
-        return float(ld)
+        return float(_logdet(self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))))
 
 
 class DisparitySum(_RunningSum):
@@ -374,15 +355,8 @@ class DisparitySum(_RunningSum):
         k = len(idx)
         return float(k * (k - 1) / 2.0 - np.triu(self.uu[np.ix_(idx, idx)], 1).sum())
 
-    def _gain(self, state, a):
-        if not state.selected:
-            return 0.0
-        return float(len(state.selected) - state.aux["sel_sim"][a])
-
-    def _gains(self, state, free):
-        if not state.selected:
-            return np.zeros(self.n)
-        return len(state.selected) - state.aux["sel_sim"]
+    def _gain(self, state, idx):
+        return len(state.selected) - state.aux["sel_sim"][idx]
 
 
 class GraphCutMIDiversity(DisparitySum):
@@ -399,11 +373,8 @@ class GraphCutMIDiversity(DisparitySum):
     def _evaluate(self, indices):
         return float(self.row2[indices].sum() + self.spec.gamma * super()._evaluate(indices))
 
-    def _gain(self, state, a):
-        return float(self.row2[a] + self.spec.gamma * super()._gain(state, a))
-
-    def _gains(self, state, free):
-        return self.row2 + self.spec.gamma * super()._gains(state, free)
+    def _gain(self, state, idx):
+        return self.row2[idx] + self.spec.gamma * super()._gain(state, idx)
 
 
 class CholeskyResiduals:
@@ -456,6 +427,13 @@ class CholeskyResiduals:
         self.t = len(chosen)
 
 
+def _logdet(m):
+    sign, ld = np.linalg.slogdet(m)
+    if sign <= 0:
+        raise IndefiniteKernelError("log-det evaluation hit a non-PD matrix; increase the ridge")
+    return ld
+
+
 def _ridged_column(kernel, eps, j):
     """Column j of a symmetric kernel plus eps I, as a new array."""
     col = kernel[j].copy()
@@ -468,12 +446,17 @@ def _conditioned_column(kernel, eps, eta, w, j):
     return _ridged_column(kernel, eps, j) - eta**2 * (w.T @ w[:, j])
 
 
-def _synced_residuals(state, kernels):
-    """Residual arrays for each (column, diag, name) kernel, kept in state.aux
-    and brought up to date with state.selected."""
-    if "residuals" not in state.aux:
-        state.aux["residuals"] = [CholeskyResiduals(*k) for k in kernels]
-    return [r.sync(state.selected) for r in state.aux["residuals"]]
+def _synced_logs(state, kernels):
+    """log d of the residuals of each (column, diag, name) kernel, nan where
+    d <= 0; kept in state.aux and brought up to date with state.selected."""
+    aux = state.aux
+    if "residuals" not in aux:
+        aux["residuals"] = [CholeskyResiduals(*k) for k in kernels]
+    if aux.get("synced") != len(state.selected):
+        ds = [r.sync(state.selected) for r in aux["residuals"]]
+        aux["logs"] = [np.log(d, out=np.full(len(d), np.nan), where=d > 0) for d in ds]
+        aux["synced"] = len(state.selected)
+    return aux["logs"]
 
 
 _CLASSES = {

@@ -26,10 +26,10 @@ from .errors import (
     check_numeric_fields,
 )
 from .kernel import KernelConfig
-from .objectives import KERNEL_REQUIREMENTS, KINDS, check_parameters
+from .objectives import KERNEL_REQUIREMENTS, check_parameters
 from .optimizer import SelectionConfig
 
-METHODS = KINDS + harness.BASELINE_KINDS
+METHODS = harness.METHODS
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -169,7 +169,11 @@ def _cmd_experiment(args):
             raw = json.load(fh)
     else:
         raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {args.config} is not a JSON object")
     methods = raw.pop("methods", None)
+    if not (methods is None or isinstance(methods, list)):
+        raise ConfigurationError("config methods must be a list of method names")
     if args.methods:
         methods = args.methods.split(",")
     if args.seeds is not None:

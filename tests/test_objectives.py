@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import SolveLogDet, eval_reference, random_kernels
@@ -337,10 +337,19 @@ def outcome(run):
         return type(exc)
 
 
+def with_chunk_edges(test):
+    """Add explicit examples of the running-max kinds, whose gains run in
+    256-row chunks, at ground sizes on both sides of one and two chunks."""
+    for kind, n in itertools.product(("fl", "fl1mi", "fl2mi"), (255, 256, 257, 515)):
+        test = example(kind, n, n, 2)(test)
+    return test
+
+
 class TestBatchedGains:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.integers(2, 8),
            st.integers(1, 3))
+    @with_chunk_edges
     def test_gains_match_scalar_and_evaluate(self, kind, seed, n, m):
         rng = np.random.default_rng(seed)
         params = dict(eta=rng.uniform(0, 1 if kind == "logdetmi" else 2),
@@ -348,18 +357,19 @@ class TestBatchedGains:
         obj = build_objective(random_spec(rng, kind, n=n, m=m, **params))
         state = obj.new_state()
         # commit a random sequence, asking for batched gains at random steps so
-        # that the residual state both folds in one index and catches up on several
-        for a in rng.permutation(n)[: rng.integers(0, n)]:
-            if rng.random() < 0.5:
+        # that the residual state both folds in one index and catches up on
+        # several; at a chunk-edge size, commit four and check every state
+        edge = n > 8
+        for a in rng.permutation(n)[: 4 if edge else rng.integers(0, n)]:
+            if edge or rng.random() < 0.5:
                 self._check_state(obj, state)
             obj.commit(state, int(a))
         self._check_state(obj, state)
 
     @staticmethod
     def _check_state(obj, state):
-        # gcmi_div and dsum vectorize the scalar arithmetic elementwise, the
-        # log-det kinds read one set of residuals in both paths, and the other
-        # kinds loop over the scalar gain: every batched gain is exact
+        # every kind writes its gain once, elementwise in the candidate index,
+        # so each batched gain runs the scalar gain's arithmetic and is exact
         got = obj.gains(state)
         base = obj.evaluate(state.selected)
         assert got.shape == (obj.n,)

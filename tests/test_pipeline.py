@@ -307,3 +307,29 @@ class TestExperimentCommand:
         config = write(tmp_path / "bad.json", json.dumps({"ridge": -1}))
         assert main(["experiment", "--config", config, "--methods", "random"]) == 3
         assert "ridge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "[1, 2]", '{"seeds": []}', '{"seeds": 5}', '{"seeds": ["a"]}', '{"seeds": [-1]}',
+        '{"seeds": [0, 0]}', '{"target_classes": [1]}', '{"target_classes": [1, 1]}',
+        '{"target_set_size": 0}', '{"test_per_class": 0}', '{"rare_train_count": -1}',
+        '{"budget": -1}', '{"max_epochs": -1}', '{"learn_rate": -1.0}', '{"feature_dim": 5}',
+        '{"lake_size": 5}', '{"methods": 5}',
+    ])
+    def test_bad_config_rejected_before_generating(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.setattr(harness, "synthetic_generate", _never_called)
+        config = write(tmp_path / "bad.json", text)
+        assert main(["experiment", "--config", config, "--methods", "random"]) == 3
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("methods, message", [
+        ("random,nope", "unknown selection method 'nope'"),
+        ("random,random", "'random' is listed twice"),
+    ])
+    def test_bad_methods_rejected_before_generating(self, capsys, monkeypatch, methods, message):
+        monkeypatch.setattr(harness, "synthetic_generate", _never_called)
+        assert main(["experiment", "--methods", methods]) == 3
+        assert message in capsys.readouterr().err
+
+
+def _never_called(*args):
+    raise AssertionError("experiment data generated before its settings were checked")
