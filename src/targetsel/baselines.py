@@ -20,9 +20,14 @@ def _check_budget(k, n):
 
 
 def _top_k(scores, k):
-    """Top-k indices by score, lowest index first among exact ties."""
-    order = np.argsort(-scores, kind="stable")
-    return order[:k]
+    """The k highest-scoring indices, lowest index first among exact ties."""
+    chosen = np.argsort(-scores, kind="stable")[:k]
+    return SelectionResult(
+        selected=[int(i) for i in chosen],
+        gains=[float(scores[i]) for i in chosen],
+        total_value=float(scores[chosen].sum()),
+        evaluations=len(scores),
+    )
 
 
 def random_select(n, k, seed):
@@ -46,14 +51,7 @@ def entropy_scores(probs):
 def uncertainty_select(probs, k):
     """Top-k pool instances by predictive entropy."""
     _check_budget(k, probs.rows)
-    scores = entropy_scores(probs)
-    chosen = _top_k(scores, k)
-    return SelectionResult(
-        selected=[int(i) for i in chosen],
-        gains=[float(scores[i]) for i in chosen],
-        total_value=float(scores[chosen].sum()),
-        evaluations=probs.rows,
-    )
+    return _top_k(entropy_scores(probs), k)
 
 
 def targeted_uncertainty_select(probs, s_ut, k):
@@ -63,14 +61,7 @@ def targeted_uncertainty_select(probs, s_ut, k):
             f"probability rows ({probs.rows}) disagree with cross-kernel rows ({s_ut.shape[0]})"
         )
     _check_budget(k, probs.rows)
-    scores = entropy_scores(probs) * s_ut.values.max(axis=1)
-    chosen = _top_k(scores, k)
-    return SelectionResult(
-        selected=[int(i) for i in chosen],
-        gains=[float(scores[i]) for i in chosen],
-        total_value=float(scores[chosen].sum()),
-        evaluations=probs.rows,
-    )
+    return _top_k(entropy_scores(probs) * s_ut.values.max(axis=1), k)
 
 
 def badge_select(embeddings, k, seed):

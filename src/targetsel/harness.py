@@ -50,6 +50,9 @@ class ExperimentConfig:
         # Every check runs here, before run_experiment generates any data.
         check_numeric_fields(self)
         check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
+        finite = ("class_separation", "pair_separation", "train_acc_threshold")
+        if not np.all(np.isfinite([getattr(self, name) for name in finite])):
+            raise ConfigurationError(f"{', '.join(finite)} must be finite")
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
         if self.feature_dim < self.num_classes:

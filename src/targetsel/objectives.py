@@ -44,9 +44,9 @@ SUBMODULAR_KINDS = frozenset(KINDS) - {"dsum", "gcmi_div", "logdetmi"}
 
 
 def check_parameters(eta, gamma, lambda_gc, ridge):
-    """Reject a negative eta, gamma or ridge, or lambda_gc outside [0, 1]."""
-    if eta < 0 or gamma < 0 or ridge < 0:
-        raise ConfigurationError("eta, gamma and ridge must be nonnegative")
+    """Reject a negative or non-finite eta, gamma or ridge, or lambda_gc outside [0, 1]."""
+    if not (np.all(np.isfinite([eta, gamma, ridge])) and min(eta, gamma, ridge) >= 0):
+        raise ConfigurationError("eta, gamma and ridge must be finite and nonnegative")
     if not 0.0 <= lambda_gc <= 1.0:
         raise ConfigurationError("lambda_gc must lie in [0, 1]")
 

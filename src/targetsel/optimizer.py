@@ -1,4 +1,4 @@
-"""Cardinality-constrained maximization: naive greedy, lazy greedy, exhaustive.
+"""Cardinality-constrained greedy maximization, naive and lazy.
 
 Lazy greedy keeps stale upper bounds in a max-heap and re-evaluates popped
 candidates until the top is fresh; under submodularity it returns the exact
@@ -9,19 +9,15 @@ early on zero or negative gains.
 
 import heapq
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
-from .errors import ConfigurationError, SizeError
+from .errors import ConfigurationError
 from .objectives import build_objective
 
 TIE_TOL = 1e-12
 
-MAX_EXHAUSTIVE_SUBSETS = 10**6
-
-ALGORITHMS = ("naive", "lazy", "exhaustive")
+ALGORITHMS = ("naive", "lazy")
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,6 @@ def _naive_greedy(obj, k):
 def _lazy_greedy(obj, k):
     state = obj.new_state()
     gains = []
-    evals = 0
     heap = []  # (-bound, index, stamp); stamp = |selected| when the bound was computed
     for a in range(obj.n):
         heap.append((-obj.gain(state, a), a, 0))
@@ -111,10 +106,6 @@ def greedy_maximize(spec, cfg):
     algorithm = cfg.algorithm
     if algorithm == "lazy" and not obj.lazy_safe:
         algorithm = "naive"  # stale bounds are unsound for non-submodular gains
-    if algorithm == "exhaustive":
-        result = exhaustive_maximize(spec, k)
-        result.truncated = truncated
-        return result
     if algorithm == "lazy" and k > 0:
         state, gains, evals = _lazy_greedy(obj, k)
     else:
@@ -127,37 +118,3 @@ def greedy_maximize(spec, cfg):
         truncated=truncated,
     )
 
-
-def exhaustive_maximize(spec, k):
-    """True optimum over all subsets of size at most k (test oracle).
-
-    Ties are broken toward the lexicographically smallest index tuple, with
-    smaller subsets enumerated first.
-    """
-    obj = build_objective(spec)
-    n = obj.n
-    k = min(k, n)
-    total = sum(comb(n, r) for r in range(k + 1))
-    if total > MAX_EXHAUSTIVE_SUBSETS:
-        raise SizeError(
-            f"{total} subsets exceed the exhaustive-search limit of {MAX_EXHAUSTIVE_SUBSETS}"
-        )
-    best_set = ()
-    best_val = 0.0
-    evals = 1  # the empty set
-    for r in range(1, k + 1):
-        for subset in combinations(range(n), r):
-            val = obj.evaluate(subset)
-            evals += 1
-            if val > best_val + TIE_TOL:
-                best_val = val
-                best_set = subset
-    prefix = [obj.evaluate(best_set[: i + 1]) for i in range(len(best_set))]
-    gains = [float(g) for g in np.diff([0.0] + prefix)]
-    return SelectionResult(
-        selected=list(best_set),
-        gains=gains,
-        total_value=best_val,
-        evaluations=evals,
-        truncated=False,
-    )

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__, harness
 from .datastore import load_features, load_probabilities
@@ -27,9 +27,7 @@ from .errors import (
 )
 from .kernel import KernelConfig
 from .objectives import KERNEL_REQUIREMENTS, check_parameters
-from .optimizer import SelectionConfig
-
-METHODS = harness.METHODS
+from .optimizer import ALGORITHMS, SelectionConfig
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -58,7 +56,7 @@ class RunManifest:
     def __post_init__(self):
         # Every check runs here, before run_select opens any input.
         check_numeric_fields(self)
-        if self.method not in METHODS:
+        if self.method not in harness.METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
         check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
         KernelConfig(metric=self.metric, transform=self.transform)
@@ -137,21 +135,9 @@ def _manifest_from_args(args):
             raise ConfigurationError(f"invalid manifest {args.manifest}: {exc}") from exc
     if args.method is None or args.unlabeled is None:
         raise ConfigurationError("--method and --unlabeled are required without --manifest")
-    return RunManifest(
-        method=args.method,
-        budget=args.budget,
-        unlabeled=args.unlabeled,
-        target=args.target,
-        probs=args.probs,
-        eta=args.eta,
-        gamma=args.gamma,
-        lambda_gc=args.lambda_gc,
-        ridge=args.ridge,
-        metric=args.metric,
-        transform=args.transform,
-        algorithm=args.algorithm,
-        seed=args.seed,
-    )
+    # the select parser's dests are the manifest's field names
+    return RunManifest(**{f.name: getattr(args, f.name)
+                          for f in fields(RunManifest) if f.name != "version"})
 
 
 def _cmd_select(args):
@@ -209,7 +195,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     sel = sub.add_parser("select", help="run one subset selection over CSV inputs")
-    sel.add_argument("--method", choices=METHODS)
+    sel.add_argument("--method", choices=harness.METHODS)
     sel.add_argument("--budget", type=int, default=10)
     sel.add_argument("--unlabeled", help="CSV of pool feature rows")
     sel.add_argument("--target", help="CSV of target feature rows")
@@ -221,7 +207,7 @@ def build_parser():
     sel.add_argument("--metric", choices=("cosine", "dot"), default="cosine")
     sel.add_argument("--transform", choices=("none", "shift-scale", "clip"),
                      default="shift-scale")
-    sel.add_argument("--algorithm", choices=("naive", "lazy", "exhaustive"), default="lazy")
+    sel.add_argument("--algorithm", choices=ALGORITHMS, default="lazy")
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--manifest", help="JSON manifest (or prior report) to re-run")
     sel.add_argument("--out", help="report path; '-' or omitted for stdout")
@@ -241,7 +227,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, ShapeError, SizeError, DegenerateFeatureError, OSError) as exc:
+    except (DataFormatError, ShapeError, SizeError, DegenerateFeatureError, OSError,
+            UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ConfigurationError, json.JSONDecodeError) as exc:

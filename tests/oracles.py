@@ -7,16 +7,23 @@ implementations it checks. Only usable at tiny sizes (n <= 8).
 `SolveLogDet` is the one exception: it keeps the scalar log-det gain the
 library computed before its gains read Cholesky residuals (a triangular solve
 against the factor of the selected block), as the reference for that path.
+`exhaustive_maximize` is the true optimum that greedy's `1 - 1/e` bound is
+checked against.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
 from targetsel.datastore import FeatureMatrix
+from targetsel.errors import SizeError
 from targetsel.kernel import KernelConfig, build_kernel, cholesky_or_raise
 from targetsel.objectives import ObjectiveState, build_objective
+from targetsel.optimizer import TIE_TOL, SelectionResult
+
+MAX_EXHAUSTIVE_SUBSETS = 10**6
 
 
 def det_cofactor(m):
@@ -227,3 +234,38 @@ class SolveLogDet:
         state.selected.append(a)
         state.value += g
         return state
+
+
+def exhaustive_maximize(spec, k):
+    """True optimum over all subsets of size at most k.
+
+    Ties are broken toward the lexicographically smallest index tuple, with
+    smaller subsets enumerated first.
+    """
+    obj = build_objective(spec)
+    n = obj.n
+    k = min(k, n)
+    total = sum(math.comb(n, r) for r in range(k + 1))
+    if total > MAX_EXHAUSTIVE_SUBSETS:
+        raise SizeError(
+            f"{total} subsets exceed the exhaustive-search limit of {MAX_EXHAUSTIVE_SUBSETS}"
+        )
+    best_set = ()
+    best_val = 0.0
+    evals = 1  # the empty set
+    for r in range(1, k + 1):
+        for subset in combinations(range(n), r):
+            val = obj.evaluate(subset)
+            evals += 1
+            if val > best_val + TIE_TOL:
+                best_val = val
+                best_set = subset
+    prefix = [obj.evaluate(best_set[: i + 1]) for i in range(len(best_set))]
+    gains = [float(g) for g in np.diff([0.0] + prefix)]
+    return SelectionResult(
+        selected=list(best_set),
+        gains=gains,
+        total_value=best_val,
+        evaluations=evals,
+        truncated=False,
+    )

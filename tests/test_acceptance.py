@@ -23,11 +23,11 @@ from targetsel.kernel import SimilarityKernel
 from targetsel.objectives import (
     KINDS, SUBMODULAR_KINDS, ObjectiveSpec, build_objective, evaluate,
 )
-from targetsel.optimizer import SelectionConfig, exhaustive_maximize, greedy_maximize
+from targetsel.optimizer import SelectionConfig, greedy_maximize
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 from targetsel import baselines
 
-from oracles import eval_reference, random_kernels
+from oracles import eval_reference, exhaustive_maximize, random_kernels
 
 
 def report(num, ok, detail):

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import SolveLogDet, random_kernels
+from oracles import SolveLogDet, exhaustive_maximize, random_kernels
 from targetsel.datastore import FeatureMatrix
 from targetsel.errors import IndefiniteKernelError, SizeError
 from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel
@@ -20,7 +20,6 @@ from targetsel.optimizer import (
     ALGORITHMS,
     SelectionConfig,
     _lazy_greedy,
-    exhaustive_maximize,
     greedy_maximize,
 )
 

@@ -76,6 +76,24 @@ class TestSelectCommand:
         assert code == 2
         assert "input error" in capsys.readouterr().err
 
+    # random and us read only the pool's row count, but the whole pool is
+    # parsed, and so validated, for them too
+    @pytest.mark.parametrize("method", ["random", "us"])
+    def test_malformed_pool_is_input_error_for_row_count_methods(self, tmp_path, probs_file,
+                                                                 capsys, method):
+        bad = write(tmp_path / "bad.csv", "1.0,2.0\n3.0\n0.0,1.0\n")
+        code = main(["select", "--method", method, "--budget", "1", "--unlabeled", bad,
+                     "--probs", probs_file])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
+    def test_non_utf8_pool_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1.0,2.0\n\xff,1.0\n")
+        code = main(["select", "--method", "fl", "--budget", "1", "--unlabeled", str(bad)])
+        assert code == 2
+        assert "input error" in capsys.readouterr().err
+
     def test_kernel_beyond_memory_is_input_error(self, pool_file, monkeypatch, capsys):
         monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 3 * 3 - 1)
         code = main(["select", "--method", "fl", "--budget", "1", "--unlabeled", pool_file])
@@ -134,8 +152,8 @@ class TestSelectCommand:
         report = json.loads(out.read_text())
         assert report["selected"] == result.selected and report["truncated"] is True
 
-    # naive greedy evaluates 3 + 2 candidates; exhaustive search 1 + 3 + 3 subsets
-    @pytest.mark.parametrize("algorithm,evaluations", [("naive", 5), ("exhaustive", 7)])
+    # naive greedy evaluates 3 + 2 candidates
+    @pytest.mark.parametrize("algorithm,evaluations", [("naive", 5)])
     def test_algorithm_reaches_optimizer(self, pool_file, tmp_path, algorithm, evaluations):
         out = tmp_path / "alg.json"
         assert main(["select", "--method", "fl", "--budget", "2", "--unlabeled", pool_file,
@@ -230,7 +248,9 @@ class TestManifestErrors:
     # RunManifest checks every setting before any file is opened: the inputs
     # here do not exist, which would otherwise be an input error (exit 2).
     @pytest.mark.parametrize("flag,value", [("--ridge", "-1"), ("--eta", "-1"),
-                                            ("--gamma", "-1"), ("--lambda-gc", "1.5")])
+                                            ("--gamma", "-1"), ("--lambda-gc", "1.5"),
+                                            ("--eta", "nan"), ("--gamma", "nan"),
+                                            ("--ridge", "inf")])
     def test_bad_parameter_rejected_before_reading_input(self, tmp_path, capsys, flag, value):
         missing = str(tmp_path / "missing.csv")
         assert main(["select", "--method", "logdetmi", "--unlabeled", missing,
@@ -238,11 +258,17 @@ class TestManifestErrors:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("changes", [{"metric": "bogus"}, {"transform": "bogus"},
-                                         {"algorithm": "bogus"}])
+                                         {"algorithm": "bogus"}, {"algorithm": "exhaustive"}])
     def test_bad_setting_rejected_before_reading_input(self, tmp_path, capsys, changes):
         missing = str(tmp_path / "missing.csv")
         assert self._replay(missing, missing, tmp_path, **changes) == 3
         assert "configuration error" in capsys.readouterr().err
+
+    def test_non_utf8_manifest_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"method": "fl", "budget": 1, "unlabeled": "\xff"}')
+        assert main(["select", "--manifest", str(path)]) == 2
+        assert "input error" in capsys.readouterr().err
 
     def test_unknown_key_is_config_error(self, pool_file, target_file, tmp_path, capsys):
         assert self._replay(pool_file, target_file, tmp_path, shards=4) == 3
@@ -313,7 +339,8 @@ class TestExperimentCommand:
         '{"seeds": [0, 0]}', '{"target_classes": [1]}', '{"target_classes": [1, 1]}',
         '{"target_set_size": 0}', '{"test_per_class": 0}', '{"rare_train_count": -1}',
         '{"budget": -1}', '{"max_epochs": -1}', '{"learn_rate": -1.0}', '{"feature_dim": 5}',
-        '{"lake_size": 5}', '{"methods": 5}',
+        '{"lake_size": 5}', '{"methods": 5}', '{"class_separation": NaN}',
+        '{"pair_separation": NaN}', '{"train_acc_threshold": NaN}',
     ])
     def test_bad_config_rejected_before_generating(self, tmp_path, capsys, monkeypatch, text):
         monkeypatch.setattr(harness, "synthetic_generate", _never_called)
