@@ -44,13 +44,14 @@ class DivergenceError(TargetselError):
     """Training produced a non-finite loss."""
 
 
-def check_numeric_fields(instance):
-    """Raise ConfigurationError when a dataclass field annotated int or float
-    holds another type, as a JSON manifest or config can supply."""
+def check_field_types(instance):
+    """Raise ConfigurationError when a dataclass field annotated int, float or
+    str holds another type, as a JSON manifest or config can supply. A field
+    whose default is None may also hold None."""
     for f in fields(instance):
         value = getattr(instance, f.name)
-        want = {int: Integral, float: Real}.get(f.type)
-        if want is None:
+        want = {int: Integral, float: Real, str: str}.get(f.type)
+        if want is None or (value is None and f.default is None):
             continue
         if isinstance(value, bool) or not isinstance(value, want):
             raise ConfigurationError(f"{f.name} must be {f.type.__name__}, got {value!r}")

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import baselines
 from .datastore import FeatureMatrix, ProbabilityMatrix
-from .errors import ConfigurationError, DivergenceError, check_numeric_fields
+from .errors import ConfigurationError, DivergenceError, check_field_types
 from .kernel import KernelConfig, build_kernel
 from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec, check_parameters
-from .optimizer import SelectionConfig, greedy_maximize
+from .optimizer import greedy_maximize
 
 BASELINE_KINDS = ("random", "us", "tus", "badge")
 METHODS = KINDS + BASELINE_KINDS
@@ -48,7 +48,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Every check runs here, before run_experiment generates any data.
-        check_numeric_fields(self)
+        check_field_types(self)
         check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
         finite = ("class_separation", "pair_separation", "train_acc_threshold")
         if not np.all(np.isfinite([getattr(self, name) for name in finite])):
@@ -248,8 +248,7 @@ class KernelCache:
         return self._built[name]
 
 
-def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None,
-                   algorithm="lazy"):
+def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None):
     """Dispatch one selection method over the lake. Returns a SelectionResult;
     every method clamps the budget to the lake and flags a clamped one truncated."""
     kernels = kernels or KernelCache(lake_emb, target_emb)
@@ -262,7 +261,7 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None,
             s_tt=kernels.get("tt") if "tt" in need else None,
             eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge,
         )
-        return greedy_maximize(spec, SelectionConfig(budget=cfg.budget, algorithm=algorithm))
+        return greedy_maximize(spec, cfg.budget)
     k = min(cfg.budget, lake_emb.rows)
     if method == "random":
         result = baselines.random_select(lake_emb.rows, k, seed)

@@ -17,20 +17,6 @@ from .objectives import build_objective
 
 TIE_TOL = 1e-12
 
-ALGORITHMS = ("naive", "lazy")
-
-
-@dataclass(frozen=True)
-class SelectionConfig:
-    budget: int
-    algorithm: str = "lazy"
-
-    def __post_init__(self):
-        if self.budget < 0:
-            raise ConfigurationError("budget must be nonnegative")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {self.algorithm!r}")
-
 
 @dataclass
 class SelectionResult:
@@ -94,27 +80,25 @@ def _lazy_greedy(obj, k):
     return state, gains, evals
 
 
-def greedy_maximize(spec, cfg):
+def greedy_maximize(spec, budget):
     """Greedy-maximize the objective under a cardinality budget.
 
     Returns min(budget, ground set size) indices; when the budget exceeds the
-    ground set the result is flagged truncated.
+    ground set the result is flagged truncated. Lazy greedy runs when the
+    objective is lazy_safe, naive greedy otherwise: stale bounds are unsound
+    for non-submodular gains.
     """
+    if budget < 0:
+        raise ConfigurationError("budget must be nonnegative")
     obj = build_objective(spec)
-    truncated = cfg.budget > obj.n
-    k = min(cfg.budget, obj.n)
-    algorithm = cfg.algorithm
-    if algorithm == "lazy" and not obj.lazy_safe:
-        algorithm = "naive"  # stale bounds are unsound for non-submodular gains
-    if algorithm == "lazy" and k > 0:
-        state, gains, evals = _lazy_greedy(obj, k)
-    else:
-        state, gains, evals = _naive_greedy(obj, k)
+    k = min(budget, obj.n)
+    loop = _lazy_greedy if obj.lazy_safe and k > 0 else _naive_greedy
+    state, gains, evals = loop(obj, k)
     return SelectionResult(
         selected=list(state.selected),
         gains=gains,
         total_value=state.value,
         evaluations=evals,
-        truncated=truncated,
+        truncated=budget > obj.n,
     )
 

@@ -23,11 +23,10 @@ from .errors import (
     IndefiniteKernelError,
     ShapeError,
     SizeError,
-    check_numeric_fields,
+    check_field_types,
 )
 from .kernel import KernelConfig
 from .objectives import KERNEL_REQUIREMENTS, check_parameters
-from .optimizer import ALGORITHMS, SelectionConfig
 
 EXIT_INPUT = 2
 EXIT_CONFIG = 3
@@ -49,18 +48,18 @@ class RunManifest:
     ridge: float = 1e-6
     metric: str = "cosine"
     transform: str = "shift-scale"
-    algorithm: str = "lazy"
     seed: int = 0
     version: str = __version__
 
     def __post_init__(self):
         # Every check runs here, before run_select opens any input.
-        check_numeric_fields(self)
+        check_field_types(self)
         if self.method not in harness.METHODS:
             raise ConfigurationError(f"unknown method {self.method!r}")
+        if min(self.budget, self.seed) < 0:
+            raise ConfigurationError("budget and seed must be nonnegative")
         check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
         KernelConfig(metric=self.metric, transform=self.transform)
-        SelectionConfig(budget=self.budget, algorithm=self.algorithm)
 
 
 def _needs_target(method):
@@ -93,7 +92,7 @@ def run_select(manifest):
         target = _load_target(manifest)
     kcfg = KernelConfig(metric=manifest.metric, transform=manifest.transform)
     return harness.select_indices(method, manifest, pool, target, probs, manifest.seed,
-                                  harness.KernelCache(pool, target, kcfg), manifest.algorithm)
+                                  harness.KernelCache(pool, target, kcfg))
 
 
 def build_report(manifest, result, wall_time_ms):
@@ -207,7 +206,6 @@ def build_parser():
     sel.add_argument("--metric", choices=("cosine", "dot"), default="cosine")
     sel.add_argument("--transform", choices=("none", "shift-scale", "clip"),
                      default="shift-scale")
-    sel.add_argument("--algorithm", choices=ALGORITHMS, default="lazy")
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--manifest", help="JSON manifest (or prior report) to re-run")
     sel.add_argument("--out", help="report path; '-' or omitted for stdout")

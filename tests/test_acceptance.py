@@ -23,7 +23,7 @@ from targetsel.kernel import SimilarityKernel
 from targetsel.objectives import (
     KINDS, SUBMODULAR_KINDS, ObjectiveSpec, build_objective, evaluate,
 )
-from targetsel.optimizer import SelectionConfig, greedy_maximize
+from targetsel.optimizer import _naive_greedy, greedy_maximize
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 from targetsel import baselines
 
@@ -57,7 +57,7 @@ def test_criterion_1_approximation_bound():
         uu, ut, tt = random_kernels(rng, n=10, m=3, d=12)
         for kind in ("fl", "gcmi", "fl1mi", "fl2mi"):
             spec = make_spec(kind, uu, ut, tt)
-            greedy = greedy_maximize(spec, SelectionConfig(budget=3))
+            greedy = greedy_maximize(spec, 3)
             exact = exhaustive_maximize(spec, 3)
             worst = min(worst, greedy.total_value - factor * exact.total_value)
     report(1, worst >= -1e-9,
@@ -65,7 +65,8 @@ def test_criterion_1_approximation_bound():
 
 
 def test_criterion_2_lazy_naive_identity():
-    """Lazy and naive greedy select identical index sequences on every kind."""
+    """greedy_maximize (lazy on lazy_safe kinds) and naive greedy select
+    identical index sequences on every kind."""
     rng = np.random.default_rng(202)
     mismatches = 0
     instances = 0
@@ -73,8 +74,8 @@ def test_criterion_2_lazy_naive_identity():
         uu, ut, tt = random_kernels(rng, n=9, m=3, d=8)
         for kind in KINDS:
             spec = make_spec(kind, uu, ut, tt)
-            lazy = greedy_maximize(spec, SelectionConfig(budget=4, algorithm="lazy"))
-            naive = greedy_maximize(spec, SelectionConfig(budget=4, algorithm="naive"))
+            lazy = greedy_maximize(spec, 4)
+            naive, _, _ = _naive_greedy(build_objective(spec), 4)
             instances += 1
             mismatches += lazy.selected != naive.selected
     report(2, mismatches == 0,
@@ -192,7 +193,7 @@ def test_criterion_5_gcmi_top_k():
         _, ut, _ = random_kernels(rng, n, m=int(rng.integers(1, 4)))
         k = int(rng.integers(1, n + 1))
         spec = ObjectiveSpec(kind="gcmi", s_ut=ut)
-        got = greedy_maximize(spec, SelectionConfig(budget=k)).selected
+        got = greedy_maximize(spec, k).selected
         sums = ut.values.sum(axis=1)
         expect = sorted(range(n), key=lambda i: (-sums[i], i))[:k]
         ok = ok and got == expect

@@ -18,7 +18,7 @@ from targetsel.objectives import (
     build_objective,
     evaluate,
 )
-from targetsel.optimizer import TIE_TOL, SelectionConfig, greedy_maximize
+from targetsel.optimizer import TIE_TOL, _naive_greedy
 
 UT = SimilarityKernel(np.array([[0.5, 0.2], [0.1, 0.4]]))
 UU3 = SimilarityKernel(np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]]),
@@ -391,11 +391,11 @@ class TestBatchedGains:
             n = int(rng.integers(3, 9))
             k = int(rng.integers(1, n + 1))
             spec = random_spec(rng, kind, n=n)
-            res = greedy_maximize(spec, SelectionConfig(budget=k, algorithm="naive"))
+            state, naive_gains, evals = _naive_greedy(build_objective(spec), k)
             selected, gains = scalar_naive_greedy(reference(spec), k)
-            assert res.selected == selected
-            assert res.gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
-            assert res.evaluations == sum(n - i for i in range(k))
+            assert state.selected == selected
+            assert naive_gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
+            assert evals == sum(n - i for i in range(k))
 
     @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
     def test_scalar_gain_after_commits_only(self, kind):
@@ -450,8 +450,8 @@ class TestBatchedGains:
             for k in range(3, 7):
                 with monkeypatch.context() as patch:
                     patch.setattr(Objective, "evaluate", counted)
-                    batched = outcome(lambda: greedy_maximize(
-                        spec, SelectionConfig(budget=k, algorithm="naive")).selected)
+                    batched = outcome(
+                        lambda: _naive_greedy(build_objective(spec), k)[0].selected)
                 scalar = outcome(lambda: scalar_naive_greedy(build_objective(spec), k)[0])
                 assert batched == scalar, (seed, k)
         assert fallbacks

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import SolveLogDet, exhaustive_maximize, random_kernels
 from targetsel.datastore import FeatureMatrix
-from targetsel.errors import IndefiniteKernelError, SizeError
+from targetsel.errors import ConfigurationError, IndefiniteKernelError, SizeError
 from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel
 from targetsel.objectives import (
     KERNEL_REQUIREMENTS,
@@ -15,13 +15,9 @@ from targetsel.objectives import (
     SUBMODULAR_KINDS,
     Objective,
     ObjectiveSpec,
+    build_objective,
 )
-from targetsel.optimizer import (
-    ALGORITHMS,
-    SelectionConfig,
-    _lazy_greedy,
-    greedy_maximize,
-)
+from targetsel.optimizer import _lazy_greedy, _naive_greedy, greedy_maximize
 
 
 def random_spec(rng, kind, n=8, m=3):
@@ -40,56 +36,70 @@ class TestGreedyExamples:
     def test_gcmi_top_k_by_row_sum(self):
         ut = SimilarityKernel(np.array([[0.7], [0.5], [0.9]]))
         spec = ObjectiveSpec("gcmi", s_ut=ut)
-        res = greedy_maximize(spec, SelectionConfig(budget=2))
+        res = greedy_maximize(spec, 2)
         assert res.selected == [2, 0]
         assert res.gains == pytest.approx([1.8, 1.4])
         assert res.total_value == pytest.approx(3.2)
 
     def test_zero_budget(self):
         ut = SimilarityKernel(np.array([[0.7], [0.5]]))
-        res = greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut), SelectionConfig(budget=0))
+        res = greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut), 0)
         assert res.selected == [] and res.total_value == 0.0
 
     def test_all_equal_ties_lowest_index(self):
         uu = SimilarityKernel(np.full((4, 4), 1.0), symmetric=True)
-        res = greedy_maximize(ObjectiveSpec("fl", s_uu=uu), SelectionConfig(budget=2))
+        res = greedy_maximize(ObjectiveSpec("fl", s_uu=uu), 2)
         assert res.selected == [0, 1]
 
-    def test_budget_above_ground_set_truncates(self):
+    def test_negative_budget_is_config_error(self):
         ut = SimilarityKernel(np.array([[0.7], [0.5]]))
-        for algorithm in ALGORITHMS:
-            res = greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut),
-                                  SelectionConfig(budget=5, algorithm=algorithm))
+        with pytest.raises(ConfigurationError, match="budget must be nonnegative"):
+            greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut), -1)
+
+    def test_budget_above_ground_set_truncates(self):
+        # gcmi runs lazy greedy and gcmi_div, which is not lazy_safe, naive
+        ut = SimilarityKernel(np.array([[0.7], [0.5]]))
+        uu = SimilarityKernel(np.array([[1.0, 0.2], [0.2, 1.0]]), symmetric=True)
+        for spec in (ObjectiveSpec("gcmi", s_ut=ut), ObjectiveSpec("gcmi_div", s_uu=uu, s_ut=ut)):
+            res = greedy_maximize(spec, 5)
             assert sorted(res.selected) == [0, 1]
-            assert res.truncated, algorithm
+            assert res.truncated, spec.kind
 
     def test_negative_gains_still_fill_budget(self):
         uu = SimilarityKernel(np.full((3, 3), 1.0), symmetric=True)
         spec = ObjectiveSpec("gc", s_uu=uu, lambda_gc=0.5)
-        res = greedy_maximize(spec, SelectionConfig(budget=3))
+        res = greedy_maximize(spec, 3)
         assert len(res.selected) == 3
 
 
 class TestLazyNaiveIdentity:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_lazy_safe_chooses_loop(self, kind):
+        # lazy greedy runs exactly when stale bounds are sound for the objective
+        spec = random_spec(np.random.default_rng(37), kind)
+        obj = build_objective(spec)
+        state, gains, evals = (_lazy_greedy if obj.lazy_safe else _naive_greedy)(obj, 4)
+        res = greedy_maximize(spec, 4)
+        assert (res.selected, res.gains, res.evaluations) == (state.selected, gains, evals)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_identical_selections(self, kind):
         rng = np.random.default_rng(zlib.crc32(kind.encode()))
         for _ in range(25):
             spec = random_spec(rng, kind, n=int(rng.integers(4, 10)))
             k = int(rng.integers(1, 5))
-            naive = greedy_maximize(spec, SelectionConfig(budget=k, algorithm="naive"))
-            lazy = greedy_maximize(spec, SelectionConfig(budget=k, algorithm="lazy"))
-            assert naive.selected == lazy.selected
-            assert naive.gains == pytest.approx(lazy.gains, abs=1e-12)
-            assert lazy.evaluations <= naive.evaluations
+            state, naive_gains, naive_evals = _naive_greedy(build_objective(spec), k)
+            lazy = greedy_maximize(spec, k)
+            assert state.selected == lazy.selected
+            assert naive_gains == pytest.approx(lazy.gains, abs=1e-12)
+            assert lazy.evaluations <= naive_evals
 
     def test_lazy_identity_under_exact_ties(self):
         uu = SimilarityKernel(np.full((6, 6), 1.0), symmetric=True)
         for kind in ("fl", "gc"):
             spec = ObjectiveSpec(kind, s_uu=uu)
-            naive = greedy_maximize(spec, SelectionConfig(budget=3, algorithm="naive"))
-            lazy = greedy_maximize(spec, SelectionConfig(budget=3, algorithm="lazy"))
-            assert naive.selected == lazy.selected
+            state, _, _ = _naive_greedy(build_objective(spec), 3)
+            assert state.selected == greedy_maximize(spec, 3).selected
 
 
 class TestLazyLogDetScalarPath:
@@ -102,7 +112,7 @@ class TestLazyLogDetScalarPath:
             n = int(rng.integers(4, 11))
             k = int(rng.integers(1, n + 1))
             spec = random_spec(rng, "logdet", n=n)
-            res = greedy_maximize(spec, SelectionConfig(budget=k, algorithm="lazy"))
+            res = greedy_maximize(spec, k)
             state, gains, evals = _lazy_greedy(SolveLogDet(spec), k)
             assert res.selected == state.selected
             assert res.evaluations == evals
@@ -119,10 +129,9 @@ class TestLazyLogDetScalarPath:
             fallbacks.append(indices)
             return evaluate_once(obj, indices)
 
-        def outcome(algorithm):
-            cfg = SelectionConfig(budget=k, algorithm=algorithm)
+        def outcome(run):
             try:
-                return greedy_maximize(spec, cfg).selected
+                return run()
             except IndefiniteKernelError as exc:
                 return type(exc)
 
@@ -136,8 +145,9 @@ class TestLazyLogDetScalarPath:
             for k in range(3, 7):
                 with monkeypatch.context() as patch:
                     patch.setattr(Objective, "evaluate", counted)
-                    lazy = outcome("lazy")
-                assert lazy == outcome("naive"), (seed, k)
+                    lazy = outcome(lambda: greedy_maximize(spec, k).selected)
+                naive = outcome(lambda: _naive_greedy(build_objective(spec), k)[0].selected)
+                assert lazy == naive, (seed, k)
         assert fallbacks
 
 
@@ -146,7 +156,7 @@ class TestResultInvariants:
     def test_total_is_sum_of_gains(self, kind):
         rng = np.random.default_rng(7)
         spec = random_spec(rng, kind)
-        res = greedy_maximize(spec, SelectionConfig(budget=4))
+        res = greedy_maximize(spec, 4)
         assert res.total_value == pytest.approx(sum(res.gains), rel=1e-8, abs=1e-8)
         assert len(set(res.selected)) == len(res.selected) == 4
 
@@ -155,7 +165,7 @@ class TestResultInvariants:
         rng = np.random.default_rng(13)
         for _ in range(10):
             spec = random_spec(rng, kind)
-            res = greedy_maximize(spec, SelectionConfig(budget=5))
+            res = greedy_maximize(spec, 5)
             diffs = np.diff(res.gains)
             assert np.all(diffs <= 1e-9), kind
 
@@ -167,8 +177,8 @@ class TestResultInvariants:
         kernels = [weakref.ref(k) for k in (spec.s_uu, spec.s_ut, spec.s_tt) if k is not None]
         gc.disable()
         try:
-            for algorithm in ("naive", "lazy"):
-                greedy_maximize(spec, SelectionConfig(budget=4, algorithm=algorithm))
+            _naive_greedy(build_objective(spec), 4)
+            greedy_maximize(spec, 4)
             del spec
             assert all(k() is None for k in kernels)
         finally:
@@ -177,8 +187,8 @@ class TestResultInvariants:
     def test_determinism(self):
         rng = np.random.default_rng(17)
         spec = random_spec(rng, "fl1mi")
-        a = greedy_maximize(spec, SelectionConfig(budget=3))
-        b = greedy_maximize(spec, SelectionConfig(budget=3))
+        a = greedy_maximize(spec, 3)
+        b = greedy_maximize(spec, 3)
         assert a.selected == b.selected and a.gains == b.gains
         assert a.total_value == b.total_value
 
@@ -187,7 +197,7 @@ class TestExhaustive:
     def test_modular_matches_greedy(self):
         rng = np.random.default_rng(19)
         spec = random_spec(rng, "gcmi", n=7)
-        greedy = greedy_maximize(spec, SelectionConfig(budget=3))
+        greedy = greedy_maximize(spec, 3)
         oracle = exhaustive_maximize(spec, 3)
         assert sorted(greedy.selected) == sorted(oracle.selected)
 
@@ -202,7 +212,7 @@ class TestExhaustive:
         bound = 1.0 - 1.0 / np.e
         for _ in range(20):
             spec = random_spec(rng, "fl", n=8)
-            greedy = greedy_maximize(spec, SelectionConfig(budget=3))
+            greedy = greedy_maximize(spec, 3)
             oracle = exhaustive_maximize(spec, 3)
             assert greedy.total_value >= bound * oracle.total_value - 1e-9
 

@@ -152,14 +152,6 @@ class TestSelectCommand:
         report = json.loads(out.read_text())
         assert report["selected"] == result.selected and report["truncated"] is True
 
-    # naive greedy evaluates 3 + 2 candidates
-    @pytest.mark.parametrize("algorithm,evaluations", [("naive", 5)])
-    def test_algorithm_reaches_optimizer(self, pool_file, tmp_path, algorithm, evaluations):
-        out = tmp_path / "alg.json"
-        assert main(["select", "--method", "fl", "--budget", "2", "--unlabeled", pool_file,
-                     "--algorithm", algorithm, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["evaluations"] == evaluations
-
     def test_subprocess_exit_codes(self, tmp_path):
         bad = write(tmp_path / "bad.csv", "x,y\n")
         proc = run_cli(["select", "--method", "fl", "--budget", "1", "--unlabeled", bad])
@@ -250,15 +242,15 @@ class TestManifestErrors:
     @pytest.mark.parametrize("flag,value", [("--ridge", "-1"), ("--eta", "-1"),
                                             ("--gamma", "-1"), ("--lambda-gc", "1.5"),
                                             ("--eta", "nan"), ("--gamma", "nan"),
-                                            ("--ridge", "inf")])
+                                            ("--ridge", "inf"), ("--budget", "-1"),
+                                            ("--seed", "-1")])
     def test_bad_parameter_rejected_before_reading_input(self, tmp_path, capsys, flag, value):
         missing = str(tmp_path / "missing.csv")
         assert main(["select", "--method", "logdetmi", "--unlabeled", missing,
                      "--target", missing, flag, value]) == 3
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("changes", [{"metric": "bogus"}, {"transform": "bogus"},
-                                         {"algorithm": "bogus"}, {"algorithm": "exhaustive"}])
+    @pytest.mark.parametrize("changes", [{"metric": "bogus"}, {"transform": "bogus"}])
     def test_bad_setting_rejected_before_reading_input(self, tmp_path, capsys, changes):
         missing = str(tmp_path / "missing.csv")
         assert self._replay(missing, missing, tmp_path, **changes) == 3
@@ -271,8 +263,10 @@ class TestManifestErrors:
         assert "input error" in capsys.readouterr().err
 
     def test_unknown_key_is_config_error(self, pool_file, target_file, tmp_path, capsys):
-        assert self._replay(pool_file, target_file, tmp_path, shards=4) == 3
-        assert "shards" in capsys.readouterr().err
+        # a report written before the algorithm option was removed carries the key
+        for key, value in (("shards", 4), ("algorithm", "lazy")):
+            assert self._replay(pool_file, target_file, tmp_path, **{key: value}) == 3
+            assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"manifest": 5}'])
     def test_non_object_manifest_is_config_error(self, tmp_path, capsys, text):
@@ -281,8 +275,12 @@ class TestManifestErrors:
         assert "not a JSON object" in capsys.readouterr().err
 
     def test_non_numeric_value_is_config_error(self, pool_file, target_file, tmp_path, capsys):
-        assert self._replay(pool_file, target_file, tmp_path, eta="high") == 3
-        assert "eta must be float" in capsys.readouterr().err
+        # A path that is not a string would otherwise read stdin (0), open a
+        # file descriptor (true) or end in a traceback (1.5).
+        for key, value, want in (("eta", "high", "float"), ("unlabeled", 0, "str"),
+                                 ("target", True, "str"), ("probs", 1.5, "str")):
+            assert self._replay(pool_file, target_file, tmp_path, **{key: value}) == 3
+            assert f"{key} must be {want}" in capsys.readouterr().err
 
     def test_non_numeric_experiment_value_is_config_error(self):
         with pytest.raises(ConfigurationError, match="budget must be int"):
