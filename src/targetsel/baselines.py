@@ -6,7 +6,6 @@ output through the same SelectionResult container as the greedy optimizers.
 """
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import ShapeError, SizeError
 from .optimizer import SelectionResult
@@ -45,6 +44,8 @@ def random_select(n, k, seed):
 
 def entropy_scores(probs):
     """Shannon entropy per row, with 0 * log 0 = 0."""
+    from scipy.special import xlogy  # imported here: only us and tus pay for scipy.special
+
     return -xlogy(probs.values, probs.values).sum(axis=1)
 
 
@@ -64,6 +65,21 @@ def targeted_uncertainty_select(probs, s_ut, k):
     return _top_k(entropy_scores(probs) * s_ut.values.max(axis=1), k)
 
 
+BADGE_BLOCK = 64  # rows per squared-distance block: its temporaries stay in cache
+
+
+def _squared_distances(x, center, buf, out):
+    """((x - center) ** 2).sum(axis=1) into out, BADGE_BLOCK rows at a time
+    through buf; each row is still summed by one contiguous reduction."""
+    for start in range(0, len(x), BADGE_BLOCK):
+        rows = x[start:start + BADGE_BLOCK]
+        block = buf[:len(rows)]
+        np.subtract(rows, center, out=block)
+        np.square(block, out=block)
+        np.add.reduce(block, axis=1, out=out[start:start + len(rows)])
+    return out
+
+
 def badge_select(embeddings, k, seed):
     """k-means++ seeding over embedding rows; returns centers in draw order.
 
@@ -80,7 +96,9 @@ def badge_select(embeddings, k, seed):
         return SelectionResult(selected=[], gains=[], total_value=0.0, evaluations=0)
     first = int(rng.integers(n))
     chosen.append(first)
-    d2 = ((x - x[first]) ** 2).sum(axis=1)
+    buf = np.empty((min(n, BADGE_BLOCK), x.shape[1]))
+    d2 = _squared_distances(x, x[first], buf, np.empty(n))
+    new = np.empty(n)
     while len(chosen) < k:
         total = d2.sum()
         if total > 0:
@@ -89,7 +107,7 @@ def badge_select(embeddings, k, seed):
             pool = np.setdiff1d(np.arange(n), chosen)
             nxt = int(rng.choice(pool))
         chosen.append(nxt)
-        d2 = np.minimum(d2, ((x - x[nxt]) ** 2).sum(axis=1))
+        np.minimum(d2, _squared_distances(x, x[nxt], buf, new), out=d2)
     return SelectionResult(
         selected=chosen,
         gains=[0.0] * k,

@@ -186,14 +186,27 @@ def train_softmax(split, cfg):
     w = np.zeros((cfg.num_classes, xb.shape[1]))
     onehot = np.zeros((n, cfg.num_classes))
     onehot[np.arange(n), y] = 1.0
+    rowmax = np.empty(n)
     for _ in range(cfg.max_epochs):
-        p = _softmax(xb @ w.T)
-        loss = -np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean()
-        if not np.isfinite(loss):
+        # _softmax in place on one buffer, bit for bit: a max is exact in any
+        # order, and the row sums are the same reductions over the same rows
+        p = xb @ w.T
+        np.copyto(rowmax, p[:, 0])
+        for col in p.T[1:]:
+            np.maximum(rowmax, col, out=rowmax)
+        p -= rowmax[:, None]
+        np.exp(p, out=p)
+        total = p.sum(axis=1, keepdims=True)
+        p /= total
+        # a row total lies in [1, C] or is nan, and the cross-entropy of the
+        # probabilities is non-finite exactly when one is nan
+        if np.isnan(total).any():
             raise DivergenceError("training loss diverged; reduce learn_rate")
-        if (p.argmax(axis=1) == y).mean() >= cfg.train_acc_threshold:
+        if np.count_nonzero(p.argmax(axis=1) == y) / n >= cfg.train_acc_threshold:
             break
-        grad = (p - onehot).T @ xb / n
+        p -= onehot
+        grad = p.T @ xb
+        grad /= n
         w = w - cfg.learn_rate * grad
     if not np.all(np.isfinite(w)):
         raise DivergenceError("weights diverged; reduce learn_rate")

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigurationError, IndefiniteKernelError
 from .kernel import cholesky_or_raise
@@ -104,6 +103,9 @@ class Objective:
     """
 
     lazy_safe = True
+    # False where stale bounds save lazy greedy nothing: every gain moves with
+    # each commit, or none ever does, so naive greedy's one pass per step wins
+    lazy_pays = True
     chunk = sys.maxsize  # candidates per _gain call in gains
 
     def __init__(self, spec):
@@ -134,8 +136,17 @@ class Objective:
             rows = slice(start, start + self.chunk)
             out[rows] = self._gain(state, rows)
         out[state.selected] = -np.inf
-        for a in np.flatnonzero(np.isnan(out)):
-            out[a] = self._from_scratch(state, int(a))
+        return self._nan_from_scratch(state, out, np.arange(self.n))
+
+    def gains_at(self, state, idx):
+        """Marginal gains of the unselected candidates in the index array idx,
+        from one _gain call."""
+        return self._nan_from_scratch(state, np.array(self._gain(state, idx), dtype=float), idx)
+
+    def _nan_from_scratch(self, state, out, idx):
+        # out[i] is the gain of idx[i]; a nan one is evaluated from scratch
+        for i in np.flatnonzero(np.isnan(out)):
+            out[i] = self._from_scratch(state, int(idx[i]))
         return out
 
     def commit(self, state, a):
@@ -197,6 +208,8 @@ class _RunningSum(Objective):
 
 class GraphCutMI(Objective):
     """2 * sum_{i in A} sum_{j in Q} s_ij; modular in A."""
+
+    lazy_pays = False
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -272,6 +285,8 @@ class LogDetMI(_ResidualLogDet):
     lazy_safe = False
 
     def __init__(self, spec):
+        from scipy.linalg import solve_triangular  # imported here: only log-det kinds need it
+
         super().__init__(spec)
         self.uu = spec.s_uu.values
         self.eps = spec.ridge
@@ -315,6 +330,8 @@ class FacilityLocation(_RunningMax):
 class GraphCut(_RunningSum):
     """sum_{i in V, j in A} s_ij - lambda * sum_{i,j in A} s_ij."""
 
+    lazy_pays = False
+
     def __init__(self, spec):
         super().__init__(spec)
         self.colsum = self.uu.sum(axis=0)
@@ -333,6 +350,8 @@ class GraphCut(_RunningSum):
 
 class LogDet(_ResidualLogDet):
     """log det(S_A + eps I) over the pool kernel."""
+
+    lazy_pays = False
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -420,6 +439,8 @@ class CholeskyResiduals:
         return self.d
 
     def _refactor(self, chosen):
+        from scipy.linalg import solve_triangular
+
         block = np.array([self.column(j) for j in chosen])
         factor = cholesky_or_raise(block[:, chosen], self.name)
         self.rows = solve_triangular(factor, block, lower=True)

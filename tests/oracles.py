@@ -8,7 +8,9 @@ implementations it checks. Only usable at tiny sizes (n <= 8).
 library computed before its gains read Cholesky residuals (a triangular solve
 against the factor of the selected block), as the reference for that path.
 `exhaustive_maximize` is the true optimum that greedy's `1 - 1/e` bound is
-checked against.
+checked against. `train_softmax_reference` and `badge_select_reference` are
+the training loop and k-means++ loop the library ran before it worked in
+place, kept as the bit-for-bit references for those paths.
 """
 
 import math
@@ -18,7 +20,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from targetsel.datastore import FeatureMatrix
-from targetsel.errors import SizeError
+from targetsel.errors import DivergenceError, SizeError
+from targetsel.harness import ToyModel, _softmax, _with_bias
 from targetsel.kernel import KernelConfig, build_kernel, cholesky_or_raise
 from targetsel.objectives import ObjectiveState, build_objective
 from targetsel.optimizer import TIE_TOL, SelectionResult
@@ -174,7 +177,8 @@ class SolveLogDet:
     logdet). A commit extends the pool factor by one row, or refactorizes it
     when d <= 0, and refactorizes the conditioned factor; a candidate with
     d <= 0 takes the from-scratch evaluation. Offers the `n`, `new_state`,
-    `gain` and `commit` that the greedy loops use.
+    `gain`, `gains`, `gains_at` and `commit` that the greedy loops use; the
+    batched two are loops over the scalar gain.
     """
 
     def __init__(self, spec):
@@ -214,6 +218,15 @@ class SolveLogDet:
         if min(d) <= 0:
             return self.objective.evaluate(state.selected + [a]) - state.value
         return float(np.log(d[0]) - sum(np.log(x) for x in d[1:]))
+
+    def gains_at(self, state, idx):
+        return np.array([self.gain(state, int(a)) for a in idx])
+
+    def gains(self, state):
+        out = np.full(self.n, -np.inf)
+        rest = [a for a in range(self.n) if a not in state.selected]
+        out[rest] = self.gains_at(state, rest)
+        return out
 
     def commit(self, state, a):
         g = self.gain(state, a)
@@ -269,3 +282,47 @@ def exhaustive_maximize(spec, k):
         evaluations=evals,
         truncated=False,
     )
+
+
+def train_softmax_reference(split, cfg):
+    """Full-batch gradient descent on cross-entropy, one fresh array per step:
+    the epoch loop `harness.train_softmax` ran before it worked in place."""
+    xb = _with_bias(split.x)
+    n = xb.shape[0]
+    y = split.y
+    w = np.zeros((cfg.num_classes, xb.shape[1]))
+    onehot = np.zeros((n, cfg.num_classes))
+    onehot[np.arange(n), y] = 1.0
+    for _ in range(cfg.max_epochs):
+        p = _softmax(xb @ w.T)
+        loss = -np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean()
+        if not np.isfinite(loss):
+            raise DivergenceError("training loss diverged; reduce learn_rate")
+        if (p.argmax(axis=1) == y).mean() >= cfg.train_acc_threshold:
+            break
+        grad = (p - onehot).T @ xb / n
+        w = w - cfg.learn_rate * grad
+    if not np.all(np.isfinite(w)):
+        raise DivergenceError("weights diverged; reduce learn_rate")
+    return ToyModel(w)
+
+
+def badge_select_reference(embeddings, k, seed):
+    """k-means++ seeding with whole-matrix squared distances: the draw order
+    `baselines.badge_select` gave before it computed distances in blocks."""
+    x = embeddings.values
+    n = x.shape[0]
+    rng = np.random.default_rng(seed)
+    if k == 0:
+        return []
+    chosen = [int(rng.integers(n))]
+    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < k:
+        total = d2.sum()
+        if total > 0:
+            nxt = int(rng.choice(n, p=d2 / total))
+        else:
+            nxt = int(rng.choice(np.setdiff1d(np.arange(n), chosen)))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((x - x[nxt]) ** 2).sum(axis=1))
+    return chosen

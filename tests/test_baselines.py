@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import badge_select_reference
 from targetsel.baselines import (
+    BADGE_BLOCK,
+    _squared_distances,
     badge_select,
     entropy_scores,
     random_select,
@@ -118,3 +121,31 @@ class TestBadgeSelect:
         for seed in range(20):
             sel = badge_select(emb, 3, seed=seed).selected
             assert not (0 in sel and 1 in sel)
+
+
+class TestBadgeBlocks:
+    """badge_select computes squared distances BADGE_BLOCK rows at a time; the
+    whole-matrix expression and the loop it replaced are the references."""
+
+    @pytest.mark.parametrize("n", [1, BADGE_BLOCK - 1, BADGE_BLOCK, BADGE_BLOCK + 1, 130])
+    def test_distances_bitwise(self, n):
+        x = np.random.default_rng(n).standard_normal((n, 650))
+        buf = np.empty((min(n, BADGE_BLOCK), 650))
+        for c in {0, n // 2, n - 1}:
+            got = _squared_distances(x, x[c], buf, np.empty(n))
+            assert np.array_equal(got, ((x - x[c]) ** 2).sum(axis=1))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_selections_match_reference(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        emb = FeatureMatrix(rng.standard_normal((200, 40)) * rng.uniform(0.1, 3.0, size=(200, 1)))
+        assert badge_select(emb, 50, seed).selected == badge_select_reference(emb, 50, seed)
+
+    def test_zero_distance_fallback_across_blocks(self):
+        # 130 identical rows: every distance is zero, so every draw after the
+        # first is uniform over the unchosen rows
+        emb = FeatureMatrix(np.ones((130, 3)))
+        for seed in range(3):
+            sel = badge_select(emb, 20, seed).selected
+            assert sel == badge_select_reference(emb, 20, seed)
+            assert len(set(sel)) == 20

@@ -3,6 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from oracles import train_softmax_reference
+from targetsel.baselines import random_select
 from targetsel.errors import ConfigurationError, DivergenceError
 from targetsel.harness import (
     ExperimentConfig,
@@ -95,6 +97,79 @@ class TestTrainSoftmax:
         a = train_softmax(data.train, SMALL)
         b = train_softmax(data.train, SMALL)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def _trained(train, split, cfg):
+    """The trained weights, or the message of the DivergenceError raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return train(split, cfg).weights
+    except DivergenceError as exc:
+        return str(exc)
+
+
+class TestTrainSoftmaxMatchesReference:
+    """train_softmax runs each epoch in place on one buffer; the loop it
+    replaced is the reference, bit for bit, down to the epoch that diverges."""
+
+    def assert_same(self, split, cfg):
+        ours = _trained(train_softmax, split, cfg)
+        ref = _trained(train_softmax_reference, split, cfg)
+        if isinstance(ref, str):
+            assert ours == ref
+        else:
+            assert isinstance(ours, np.ndarray) and np.array_equal(ours, ref)
+        return ref
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_protocol_seed_base_and_augmented(self, seed):
+        cfg = ExperimentConfig()
+        data = synthetic_generate(cfg, seed)
+        self.assert_same(data.train, cfg)
+        chosen = random_select(len(data.lake.y), cfg.budget, seed).selected
+        self.assert_same(LabeledSplit(np.vstack([data.train.x, data.lake.x[chosen]]),
+                                      np.concatenate([data.train.y, data.lake.y[chosen]])), cfg)
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_few_classes(self, classes):
+        cfg = dataclasses.replace(SMALL, num_classes=classes)
+        for seed in range(3):
+            self.assert_same(synthetic_generate(cfg, seed).train, cfg)
+
+    @pytest.mark.parametrize("max_epochs", [0, 1, 150])
+    def test_single_example(self, max_epochs):
+        cfg = dataclasses.replace(SMALL, num_classes=2, feature_dim=2, max_epochs=max_epochs)
+        self.assert_same(LabeledSplit(np.array([[1.0, 2.0]]), np.array([1])), cfg)
+
+    def test_early_stop_at_the_threshold(self):
+        # rows 0 and 3 coincide with different labels, so accuracy peaks at
+        # exactly 3/4: a threshold of 0.75 stops after one epoch, the next
+        # float above it never stops
+        x = np.array([[-4.0, -4.0], [4.0, 4.0], [4.0, 4.0], [-4.0, -4.0]])
+        split = LabeledSplit(x, np.array([0, 1, 1, 1]))
+        cfg = dataclasses.replace(SMALL, num_classes=2, feature_dim=2, max_epochs=50)
+        one_epoch = self.assert_same(split, dataclasses.replace(cfg, max_epochs=1))
+        stopped = self.assert_same(split, dataclasses.replace(cfg, train_acc_threshold=0.75))
+        ran = self.assert_same(split, dataclasses.replace(
+            cfg, train_acc_threshold=float(np.nextafter(0.75, 1.0))))
+        assert np.array_equal(stopped, one_epoch) and not np.array_equal(stopped, ran)
+
+    @pytest.mark.parametrize("learn_rate, scale, fine_epochs, first", [
+        (float("inf"), 1.0, 0, "weights"),  # the first step makes the weights non-finite
+        (1000.0, 1e153, 3, "training loss"),  # the logits overflow in the fourth epoch
+    ])
+    def test_divergence_at_the_same_epoch(self, learn_rate, scale, fine_epochs, first):
+        # three copies of one row, labelled 0, 1, 1: no step can fit them, and
+        # a threshold above 1 never stops training early
+        split = LabeledSplit(np.tile([scale, 0.0], (3, 1)), np.array([0, 1, 1]))
+        cfg = dataclasses.replace(SMALL, num_classes=2, feature_dim=2, learn_rate=learn_rate,
+                                  train_acc_threshold=2.0)
+        outcomes = [self.assert_same(split, dataclasses.replace(cfg, max_epochs=m))
+                    for m in range(fine_epochs + 4)]
+        diverged = [isinstance(o, str) for o in outcomes]
+        assert diverged == [False] * (fine_epochs + 1) + [True] * 3
+        assert outcomes[fine_epochs + 1] == f"{first} diverged; reduce learn_rate"
+        assert outcomes[-1] == "training loss diverged; reduce learn_rate"
 
 
 class TestGradientEmbeddings:

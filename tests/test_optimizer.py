@@ -17,7 +17,7 @@ from targetsel.objectives import (
     ObjectiveSpec,
     build_objective,
 )
-from targetsel.optimizer import _lazy_greedy, _naive_greedy, greedy_maximize
+from targetsel.optimizer import LAZY_BLOCK, _lazy_greedy, _naive_greedy, greedy_maximize
 
 
 def random_spec(rng, kind, n=8, m=3):
@@ -57,10 +57,10 @@ class TestGreedyExamples:
             greedy_maximize(ObjectiveSpec("gcmi", s_ut=ut), -1)
 
     def test_budget_above_ground_set_truncates(self):
-        # gcmi runs lazy greedy and gcmi_div, which is not lazy_safe, naive
+        # fl2mi runs lazy greedy and gcmi_div, which is not lazy_safe, naive
         ut = SimilarityKernel(np.array([[0.7], [0.5]]))
         uu = SimilarityKernel(np.array([[1.0, 0.2], [0.2, 1.0]]), symmetric=True)
-        for spec in (ObjectiveSpec("gcmi", s_ut=ut), ObjectiveSpec("gcmi_div", s_uu=uu, s_ut=ut)):
+        for spec in (ObjectiveSpec("fl2mi", s_ut=ut), ObjectiveSpec("gcmi_div", s_uu=uu, s_ut=ut)):
             res = greedy_maximize(spec, 5)
             assert sorted(res.selected) == [0, 1]
             assert res.truncated, spec.kind
@@ -75,10 +75,13 @@ class TestGreedyExamples:
 class TestLazyNaiveIdentity:
     @pytest.mark.parametrize("kind", KINDS)
     def test_lazy_safe_chooses_loop(self, kind):
-        # lazy greedy runs exactly when stale bounds are sound for the objective
+        # lazy greedy runs exactly when stale bounds are sound for the
+        # objective and save it work: for fl, fl1mi and fl2mi
         spec = random_spec(np.random.default_rng(37), kind)
         obj = build_objective(spec)
-        state, gains, evals = (_lazy_greedy if obj.lazy_safe else _naive_greedy)(obj, 4)
+        lazy = obj.lazy_safe and obj.lazy_pays
+        assert lazy == (kind in ("fl", "fl1mi", "fl2mi"))
+        state, gains, evals = (_lazy_greedy if lazy else _naive_greedy)(obj, 4)
         res = greedy_maximize(spec, 4)
         assert (res.selected, res.gains, res.evaluations) == (state.selected, gains, evals)
 
@@ -89,17 +92,59 @@ class TestLazyNaiveIdentity:
             spec = random_spec(rng, kind, n=int(rng.integers(4, 10)))
             k = int(rng.integers(1, 5))
             state, naive_gains, naive_evals = _naive_greedy(build_objective(spec), k)
-            lazy = greedy_maximize(spec, k)
+            obj = build_objective(spec)
+            # stale bounds are unsound where the kind is not lazy_safe
+            lazy, lazy_gains, lazy_evals = (_lazy_greedy if obj.lazy_safe else _naive_greedy)(obj, k)
             assert state.selected == lazy.selected
-            assert naive_gains == pytest.approx(lazy.gains, abs=1e-12)
-            assert lazy.evaluations <= naive_evals
+            assert naive_gains == pytest.approx(lazy_gains, abs=1e-12)
+            assert lazy_evals <= naive_evals
 
     def test_lazy_identity_under_exact_ties(self):
         uu = SimilarityKernel(np.full((6, 6), 1.0), symmetric=True)
         for kind in ("fl", "gc"):
             spec = ObjectiveSpec(kind, s_uu=uu)
             state, _, _ = _naive_greedy(build_objective(spec), 3)
-            assert state.selected == greedy_maximize(spec, 3).selected
+            assert state.selected == _lazy_greedy(build_objective(spec), 3)[0].selected
+
+
+class TestLazyBlocks:
+    """Lazy greedy re-scores up to LAZY_BLOCK stale bounds per gains_at call.
+    Ground sets of 128 and more hold several blocks, so these instances
+    separate the block path from naive greedy, which the n <= 10 ones cannot."""
+
+    @pytest.mark.parametrize("kind", sorted(SUBMODULAR_KINDS))
+    def test_large_instances_match_naive(self, kind):
+        rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
+        for n in (4 * LAZY_BLOCK, 4 * LAZY_BLOCK + 5, 300):
+            spec = random_spec(rng, kind, n=n, m=5)
+            obj = build_objective(spec)
+            blocks = []
+            gains_at = obj.gains_at
+            obj.gains_at = lambda state, idx: blocks.append(len(idx)) or gains_at(state, idx)
+            lazy, lazy_gains, lazy_evals = _lazy_greedy(obj, 12)
+            naive, naive_gains, naive_evals = _naive_greedy(build_objective(spec), 12)
+            assert lazy.selected == naive.selected
+            assert lazy_gains == naive_gains and lazy.value == naive.value
+            assert lazy_evals <= naive_evals
+            assert max(blocks) == LAZY_BLOCK, blocks
+
+    @pytest.mark.parametrize("kind", sorted(SUBMODULAR_KINDS))
+    def test_all_equal_kernels(self, kind):
+        # every gain ties at every step, so both loops take the lowest index;
+        # logdet's residuals go through a BLAS product that may round the last
+        # few columns apart, and there only the two loops must agree
+        n = 4 * LAZY_BLOCK + 3
+        need = KERNEL_REQUIREMENTS[kind]
+        spec = ObjectiveSpec(
+            kind,
+            s_uu=SimilarityKernel(np.ones((n, n)), symmetric=True) if "uu" in need else None,
+            s_ut=SimilarityKernel(np.ones((n, 4))) if "ut" in need else None,
+        )
+        lazy, lazy_gains, _ = _lazy_greedy(build_objective(spec), 10)
+        naive, naive_gains, _ = _naive_greedy(build_objective(spec), 10)
+        assert lazy.selected == naive.selected
+        assert lazy_gains == naive_gains
+        assert kind == "logdet" or lazy.selected == list(range(10))
 
 
 class TestLazyLogDetScalarPath:
@@ -111,12 +156,17 @@ class TestLazyLogDetScalarPath:
         for _ in range(25):
             n = int(rng.integers(4, 11))
             k = int(rng.integers(1, n + 1))
-            spec = random_spec(rng, "logdet", n=n)
-            res = greedy_maximize(spec, k)
-            state, gains, evals = _lazy_greedy(SolveLogDet(spec), k)
-            assert res.selected == state.selected
-            assert res.evaluations == evals
-            assert res.gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
+            self.assert_matches(random_spec(rng, "logdet", n=n), k)
+        for n in (4 * LAZY_BLOCK, 150):  # several LAZY_BLOCK blocks per re-score
+            self.assert_matches(random_spec(rng, "logdet", n=n), 8)
+
+    @staticmethod
+    def assert_matches(spec, k):
+        res, res_gains, res_evals = _lazy_greedy(build_objective(spec), k)
+        state, gains, evals = _lazy_greedy(SolveLogDet(spec), k)
+        assert res.selected == state.selected
+        assert res_evals == evals
+        assert res_gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
 
     def test_duplicate_rows_at_ridge_zero(self, monkeypatch):
         # At ridge 0 duplicate pool rows leave residuals at or near zero, so
@@ -145,7 +195,7 @@ class TestLazyLogDetScalarPath:
             for k in range(3, 7):
                 with monkeypatch.context() as patch:
                     patch.setattr(Objective, "evaluate", counted)
-                    lazy = outcome(lambda: greedy_maximize(spec, k).selected)
+                    lazy = outcome(lambda: _lazy_greedy(build_objective(spec), k)[0].selected)
                 naive = outcome(lambda: _naive_greedy(build_objective(spec), k)[0].selected)
                 assert lazy == naive, (seed, k)
         assert fallbacks

@@ -34,14 +34,27 @@ def probs_file(tmp_path):
     return write(tmp_path / "probs.csv", "0.5,0.5\n1.0,0.0\n0.8,0.2\n")
 
 
-def run_cli(args):
+def run_python(args):
     # The child process imports the same targetsel as these tests, installed or not.
     src = os.path.dirname(os.path.dirname(targetsel.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "targetsel", *args], capture_output=True, text=True,
+        [sys.executable, *args], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(args):
+    return run_python(["-m", "targetsel", *args])
+
+
+def test_import_leaves_scipy_unloaded():
+    # Only the log-det kinds and the entropy baselines use scipy, and they
+    # import it when they run, so a process that needs none of them skips it.
+    proc = run_python(["-c", "import sys, targetsel.pipeline; "
+                             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSelectCommand:
