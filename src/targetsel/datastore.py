@@ -7,7 +7,7 @@ immutable and safe to share across threads; they copy a writeable input array.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,9 +28,14 @@ def freeze(values):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """n x d matrix of per-instance feature (or gradient-embedding) vectors."""
+    """n x d matrix of per-instance feature (or gradient-embedding) vectors.
+
+    `factors` is None, or the pair (r, x) when the matrix was built by `outer`
+    and row i is the flattened outer product r_i (x) x_i.
+    """
 
     values: np.ndarray
+    factors: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = freeze(self.values)
@@ -39,6 +44,19 @@ class FeatureMatrix:
         if not np.all(np.isfinite(v)):
             raise DataFormatError("feature matrix contains non-finite entries")
         object.__setattr__(self, "values", v)
+
+    @classmethod
+    def outer(cls, r, x):
+        """The matrix of row-wise outer products r_i (x) x_i, keeping r and x as its factors."""
+        r, x = freeze(r), freeze(x)
+        if r.ndim != 2 or x.ndim != 2 or len(r) != len(x):
+            raise DataFormatError(f"outer-product factors must be 2-D with equal rows, "
+                                  f"got shapes {r.shape} and {x.shape}")
+        values = (r[:, :, None] * x[:, None, :]).reshape(len(r), -1)
+        values.setflags(write=False)  # shared, not copied: see freeze
+        m = cls(values)  # finite values imply finite factors
+        object.__setattr__(m, "factors", (r, x))
+        return m
 
     @property
     def rows(self):

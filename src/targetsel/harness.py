@@ -214,7 +214,8 @@ def train_softmax(split, cfg):
 
 
 def gradient_embeddings(model, x, labels=None):
-    """Last-layer loss gradients (p - e_y) (x) [x;1], flattened per instance.
+    """Last-layer loss gradients (p - e_y) (x) [x;1], flattened per instance,
+    as a FeatureMatrix that keeps both factors (see FeatureMatrix.outer).
 
     With labels=None the label is hypothesized as the model's argmax
     prediction; pass true labels for the target set.
@@ -228,9 +229,7 @@ def gradient_embeddings(model, x, labels=None):
     y = p.argmax(axis=1) if labels is None else np.asarray(labels)
     resid = p.copy()
     resid[np.arange(len(y)), y] -= 1.0
-    emb = (resid[:, :, None] * xb[:, None, :]).reshape(len(y), -1)
-    emb.setflags(write=False)  # shared, not copied: see datastore.freeze
-    return FeatureMatrix(emb)
+    return FeatureMatrix.outer(resid, xb)
 
 
 def _accuracies(model, test, target_classes):

@@ -3,6 +3,11 @@
 Within-set kernels are square and exactly symmetric as numpy returns x @ x.T
 (a rank-k update with one triangle mirrored into the other); cross-set kernels
 are rectangular and transpose-consistent (build(a, b).T == build(b, a)).
+When both matrices carry outer-product factors (rows r_i (x) x_i, as gradient
+embeddings do), the kernel is built from the factors instead:
+<r_i (x) x_i, r_j (x) x_j> = (r_i . r_j)(x_i . x_j), so the Gram of the rows is
+the elementwise product of two narrow Grams. It agrees with the product of
+the flattened rows to a few ulps per entry, not bitwise.
 The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
 """
@@ -19,7 +24,9 @@ from .errors import (ConfigurationError, DegenerateFeatureError, IndefiniteKerne
 METRICS = ("cosine", "dot")
 TRANSFORMS = ("none", "shift-scale", "clip")
 
-TILE = 256  # block side for the exact symmetry check: a mirrored pair of tiles is 1 MiB
+# Block side of the exact symmetry check (a mirrored pair of tiles is 1 MiB)
+# and row-panel height of kernels built from factors.
+TILE = 256
 
 
 def _physical_memory():
@@ -82,17 +89,62 @@ def _tile_pairs(n):
             yield rows, slice(j, j + TILE)
 
 
+def _check_norms(norms, which):
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DegenerateFeatureError(
+            f"zero-norm row {zero[0]} in {which} matrix under cosine metric"
+        )
+
+
 def _prepare_rows(x, metric, which):
     x = np.asarray(x, dtype=np.float64)
     if metric == "cosine":
         norms = np.linalg.norm(x, axis=1)
-        zero = np.flatnonzero(norms == 0.0)
-        if zero.size:
-            raise DegenerateFeatureError(
-                f"zero-norm row {zero[0]} in {which} matrix under cosine metric"
-            )
+        _check_norms(norms, which)
         return x / norms[:, None]
     return x
+
+
+def _prepare_factors(factors, metric, which):
+    """Factors (r, x) of an outer-product matrix, each row-normalized under cosine.
+
+    |r_i (x) x_i| = |r_i| |x_i|, so a row has zero norm exactly when one of its
+    factor rows has.
+    """
+    if metric != "cosine":
+        return factors
+    norms = [np.linalg.norm(f, axis=1) for f in factors]
+    _check_norms(np.minimum(*norms), which)
+    return tuple(f / nf[:, None] for f, nf in zip(factors, norms))
+
+
+def _shared_factors(a, b):
+    """True when a and b both carry outer-product factors of the same widths."""
+    if a.factors is None or b.factors is None:
+        return False
+    return all(fa.shape[1] == fb.shape[1] for fa, fb in zip(a.factors, b.factors))
+
+
+def _factored_gram(r, x):
+    """(r @ r.T) * (x @ x.T), filled in row panels of TILE rows.
+
+    Each diagonal block is the product of two rank-k updates, which numpy
+    returns exactly symmetric; the panel right of it is written above the
+    diagonal and its transpose below, so the whole result is exactly symmetric.
+    """
+    n = len(r)
+    g = np.empty((n, n))
+    for i in range(0, n, TILE):
+        b, rest = slice(i, i + TILE), slice(i + TILE, n)
+        block = r[b] @ r[b].T
+        block *= x[b] @ x[b].T
+        g[b, b] = block
+        panel = r[b] @ r[rest].T
+        panel *= x[b] @ x[rest].T
+        g[b, rest] = panel
+        g[rest, b] = panel.T
+    return g
 
 
 def _apply_transform(g, transform):
@@ -112,7 +164,9 @@ def build_kernel(a, b, cfg=KernelConfig()):
     When a and b hold identical values the result is flagged symmetric, is
     exactly symmetric as the matrix product returns it, and (under cosine) gets
     an exact unit diagonal before the transform, all in place: the peak is one
-    n x n array.
+    n x n array (plus two TILE x n panels when it is built from factors).
+    The factored path runs exactly when both a and b carry factors of the
+    same widths; otherwise the rows' own product is used.
     Cross kernels with r < c are computed as the transpose of the swapped
     problem so that build(a, b).T == build(b, a) holds entrywise.
     Raises SizeError, before allocating, when the 8·r·c bytes of the result
@@ -127,16 +181,24 @@ def build_kernel(a, b, cfg=KernelConfig()):
             f"{MEMORY_LIMIT} bytes of physical memory"
         )
     same = a is b or (a.rows == b.rows and np.array_equal(a.values, b.values))
-    xa = _prepare_rows(a.values, cfg.metric, "left")
+    factored = _shared_factors(a, b)
+    if factored:
+        ra, xa = _prepare_factors(a.factors, cfg.metric, "left")
+    else:
+        xa = _prepare_rows(a.values, cfg.metric, "left")
     if same:
-        g = xa @ xa.T
+        g = _factored_gram(ra, xa) if factored else xa @ xa.T
         if cfg.metric == "cosine":
             np.fill_diagonal(g, 1.0)
         return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=True)
     if a.rows < b.rows:
         return SimilarityKernel(build_kernel(b, a, cfg).values.T, symmetric=False)
-    xb = _prepare_rows(b.values, cfg.metric, "right")
-    g = xa @ xb.T
+    if factored:
+        rb, xb = _prepare_factors(b.factors, cfg.metric, "right")
+        g = ra @ rb.T
+        g *= xa @ xb.T
+    else:
+        g = xa @ _prepare_rows(b.values, cfg.metric, "right").T
     return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=False)
 
 

@@ -41,6 +41,8 @@ KERNEL_REQUIREMENTS = {
 # unsound too.
 SUBMODULAR_KINDS = frozenset(KINDS) - {"dsum", "gcmi_div", "logdetmi"}
 
+PAD_COLUMNS = 64  # see CholeskyResiduals.__init__
+
 
 def check_parameters(eta, gamma, lambda_gc, ridge):
     """Reject a negative or non-finite eta, gamma or ridge, or lambda_gc outside [0, 1]."""
@@ -415,11 +417,16 @@ class CholeskyResiduals:
         self.diag = diag
         self.name = name
         self.d = diag.copy()
-        self.rows = np.empty((0, len(diag)))
+        # The rows of E are zero-padded to a multiple of PAD_COLUMNS columns, so
+        # that BLAS runs every real column through the same full-block code and
+        # candidates that tie exactly keep tying in floating point.
+        self.width = -(-len(diag) // PAD_COLUMNS) * PAD_COLUMNS
+        self.rows = np.zeros((0, self.width))
         self.t = 0  # committed indices folded in so far
 
     def sync(self, selected):
         """Fold in the indices committed since the last call; returns d."""
+        n = len(self.d)
         while self.t < len(selected):
             t, j = self.t, selected[self.t]
             if self.d[j] <= 0:
@@ -427,13 +434,13 @@ class CholeskyResiduals:
                 self._refactor(selected[: t + 1])
                 continue
             e = self.column(j)
-            e -= self.rows[:t, j] @ self.rows[:t]
+            e -= (self.rows[:t, j] @ self.rows[:t])[:n]
             e /= np.sqrt(self.d[j])
             if t == len(self.rows):
-                grown = np.empty((max(8, 2 * t), len(self.d)))
+                grown = np.zeros((max(8, 2 * t), self.width))
                 grown[:t] = self.rows
                 self.rows = grown
-            self.rows[t] = e
+            self.rows[t, :n] = e
             self.d -= e * e
             self.t += 1
         return self.d
@@ -443,8 +450,10 @@ class CholeskyResiduals:
 
         block = np.array([self.column(j) for j in chosen])
         factor = cholesky_or_raise(block[:, chosen], self.name)
-        self.rows = solve_triangular(factor, block, lower=True)
-        self.d = self.diag - (self.rows**2).sum(axis=0)
+        e = solve_triangular(factor, block, lower=True)
+        self.rows = np.zeros((len(chosen), self.width))
+        self.rows[:, : len(self.d)] = e
+        self.d = self.diag - (e**2).sum(axis=0)
         self.t = len(chosen)
 
 

@@ -65,8 +65,11 @@ def test_criterion_1_approximation_bound():
 
 
 def test_criterion_2_lazy_naive_identity():
-    """greedy_maximize (lazy on lazy_safe kinds) and naive greedy select
-    identical index sequences on every kind."""
+    """greedy_maximize and naive greedy select identical index sequences on
+    every kind. greedy_maximize runs lazy greedy only where the objective is
+    lazy_safe and lazy_pays (fl, fl1mi and fl2mi), so for the other kinds this
+    compares naive greedy with itself. Both loops run directly on every
+    lazy_safe kind in test_optimizer.py (TestLazyNaiveIdentity, TestLazyBlocks)."""
     rng = np.random.default_rng(202)
     mismatches = 0
     instances = 0

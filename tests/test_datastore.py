@@ -198,3 +198,34 @@ class TestLoadProbabilities:
 def test_probability_matrix_validates_rows():
     with pytest.raises(DataFormatError):
         ProbabilityMatrix(np.array([[0.7, 0.7]]))
+
+
+class TestOuterProducts:
+    def test_values_are_row_wise_outer_products(self):
+        rng = np.random.default_rng(0)
+        r, x = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+        m = FeatureMatrix.outer(r, x)
+        assert (m.rows, m.dims) == (5, 12)
+        expected = np.stack([np.outer(r[i], x[i]).ravel() for i in range(5)])
+        assert m.values.tobytes() == expected.tobytes()
+        assert all(f.tobytes() == g.tobytes() and not f.flags.writeable
+                   for f, g in zip(m.factors, (r, x)))
+
+    def test_plain_matrix_has_no_factors(self):
+        assert FeatureMatrix(np.eye(2)).factors is None
+
+    def test_factors_cannot_be_passed_with_values(self):
+        with pytest.raises(TypeError):
+            FeatureMatrix(np.eye(2), factors=(np.eye(2), np.ones((2, 1))))
+
+    @pytest.mark.parametrize("r,x", [
+        (np.ones((2, 3)), np.ones((3, 2))),
+        (np.ones(3), np.ones((3, 2))),
+        (np.ones((2, 0)), np.ones((2, 2))),
+        (np.full((1, 2), 1e200), np.full((1, 2), 1e200)),
+        (np.array([[np.nan, 1.0]]), np.ones((1, 2))),
+    ], ids=["unequal-rows", "1-d", "no-columns", "overflow", "nan"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bad_factors_rejected(self, r, x):
+        with pytest.raises(DataFormatError):
+            FeatureMatrix.outer(r, x)

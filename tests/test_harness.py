@@ -185,6 +185,9 @@ class TestGradientEmbeddings:
         # [-0.5, 0.5], crossed with [x; 1] = [1, 2, 1]
         emb = gradient_embeddings(model, np.array([[1.0, 2.0]]), labels=np.array([0]))
         np.testing.assert_allclose(emb.values, [[-0.5, -1.0, -0.5, 0.5, 1.0, 0.5]])
+        r, xb = emb.factors
+        np.testing.assert_array_equal(r, [[-0.5, 0.5]])
+        np.testing.assert_array_equal(xb, [[1.0, 2.0, 1.0]])
 
     def test_identical_inputs_identical_embeddings(self):
         rng = np.random.default_rng(0)

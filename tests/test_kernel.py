@@ -150,6 +150,102 @@ def test_within_set_product_is_exactly_symmetric(metric, n, d):
     assert g.tobytes() == g.T.tobytes()
 
 
+# Sizes for kernels built from outer-product factors: one row, fewer than a
+# tile, more than one tile but not a multiple of it, and more than two tiles.
+FACTORED_SIZES = (1, 7, TILE + 5, 2 * TILE + 3)
+FACTORED_ULPS = 16  # entries of factored and dense kernels agree to this many eps
+
+
+def outer_pair(seed, n, zero_row=None):
+    """A gradient-embedding-shaped outer-product matrix (10 x 65 factors, the
+    second with a bias column) and the plain matrix of the same values; the
+    first factor's row zero_row is zero, as for a one-hot prediction."""
+    rng = np.random.default_rng(seed)
+    r = rng.standard_normal((n, 10))
+    if zero_row is not None:
+        r[zero_row] = 0.0
+    x = np.hstack([rng.standard_normal((n, 64)), np.ones((n, 1))])
+    a = FeatureMatrix.outer(r, x)
+    return a, FeatureMatrix(a.values)
+
+
+def assert_within_ulps(factored, dense, a, b, metric):
+    """|factored - dense| <= FACTORED_ULPS eps, scaled by |a_i| |b_j| under dot."""
+    scale = 1.0
+    if metric == "dot":
+        scale = np.outer(np.linalg.norm(a.values, axis=1), np.linalg.norm(b.values, axis=1))
+    err = np.abs(factored - dense) / scale
+    assert err.max() <= FACTORED_ULPS * np.finfo(float).eps, err.max()
+
+
+class TestFactoredKernels:
+    """Kernels of two outer-product matrices are built from their factor Grams;
+    they must agree with the dense product of the same values to a few ulps
+    and keep every exact property of the dense kernel."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @pytest.mark.parametrize("n", FACTORED_SIZES)
+    def test_within_set_matches_dense(self, cfg, n):
+        for seed in range(3):
+            a, plain = outer_pair(seed, n)
+            k = build_kernel(a, a, cfg)
+            assert k.symmetric
+            assert k.values.tobytes() == k.values.T.tobytes()
+            if cfg.metric == "cosine":
+                assert np.all(np.diag(k.values) == 1.0)
+            assert_within_ulps(k.values, build_kernel(plain, plain, cfg).values, a, a,
+                               cfg.metric)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @pytest.mark.parametrize("r,c", [(1, 1), (7, TILE + 5), (2 * TILE + 3, 15)])
+    def test_cross_matches_dense_and_transposes(self, cfg, r, c):
+        a, plain_a = outer_pair(r, r)
+        b, plain_b = outer_pair(c + 1, c)
+        ab = build_kernel(a, b, cfg).values
+        assert ab.tobytes() == build_kernel(b, a, cfg).values.T.tobytes()
+        assert_within_ulps(ab, build_kernel(plain_a, plain_b, cfg).values, a, b, cfg.metric)
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    def test_mixed_pair_takes_dense_path(self, cfg):
+        a, plain_a = outer_pair(0, TILE + 5)
+        b, plain_b = outer_pair(1, 15)
+        for x, y, dense in ((a, plain_a, (plain_a, plain_a)), (a, plain_b, (plain_a, plain_b)),
+                            (plain_b, a, (plain_b, plain_a))):
+            expected = build_kernel(*dense, cfg).values.tobytes()
+            assert build_kernel(x, y, cfg).values.tobytes() == expected
+
+    def test_unequal_factor_widths_take_dense_path(self):
+        rng = np.random.default_rng(0)
+        a = FeatureMatrix.outer(rng.standard_normal((6, 2)), rng.standard_normal((6, 6)))
+        b = FeatureMatrix.outer(rng.standard_normal((5, 3)), rng.standard_normal((5, 4)))
+        expected = build_kernel(FeatureMatrix(a.values), FeatureMatrix(b.values)).values
+        assert build_kernel(a, b).values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("zero_row", [0, 5, TILE + 4])
+    def test_one_hot_prediction_row_is_degenerate(self, zero_row):
+        a, plain_a = outer_pair(0, TILE + 5, zero_row=zero_row)
+        b, plain_b = outer_pair(1, 15)
+        for pair, dense in (((a, a), (plain_a, plain_a)), ((a, b), (plain_a, plain_b)),
+                            ((b, a), (plain_b, plain_a))):
+            with pytest.raises(DegenerateFeatureError) as dense_err:
+                build_kernel(*dense)
+            with pytest.raises(DegenerateFeatureError, match=f"row {zero_row} ") as err:
+                build_kernel(*pair)
+            assert str(err.value) == str(dense_err.value)
+
+    def test_size_error_unchanged(self, monkeypatch):
+        a, plain_a = outer_pair(0, 3)
+        b, plain_b = outer_pair(1, 2)
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 2 * 3 - 1)
+        for pair, dense in (((a, b), (plain_a, plain_b)), ((b, a), (plain_b, plain_a)),
+                            ((a, a), (plain_a, plain_a))):
+            with pytest.raises(SizeError) as dense_err:
+                build_kernel(*dense)
+            with pytest.raises(SizeError) as err:
+                build_kernel(*pair)
+            assert str(err.value) == str(dense_err.value)
+
+
 class TestSymmetryCheck:
     N = 2 * TILE + 3
 
@@ -178,15 +274,17 @@ class TestSymmetryCheck:
 
 def test_within_set_build_allocates_one_square_array():
     n = 1200
-    a = FeatureMatrix(np.random.default_rng(0).standard_normal((n, 8)))
-    tracemalloc.start()
-    try:
-        k = build_kernel(a, a)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert k.shape == (n, n)
-    assert peak < 1.5 * 8 * n * n
+    plain = FeatureMatrix(np.random.default_rng(0).standard_normal((n, 8)))
+    factored, _ = outer_pair(0, n)  # adds two TILE-row panels
+    for a in (plain, factored):
+        tracemalloc.start()
+        try:
+            k = build_kernel(a, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.shape == (n, n)
+        assert peak < 1.5 * 8 * n * n
 
 
 class TestCallerArray:

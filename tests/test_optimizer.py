@@ -130,9 +130,7 @@ class TestLazyBlocks:
 
     @pytest.mark.parametrize("kind", sorted(SUBMODULAR_KINDS))
     def test_all_equal_kernels(self, kind):
-        # every gain ties at every step, so both loops take the lowest index;
-        # logdet's residuals go through a BLAS product that may round the last
-        # few columns apart, and there only the two loops must agree
+        # every gain ties at every step, so both loops take the lowest index
         n = 4 * LAZY_BLOCK + 3
         need = KERNEL_REQUIREMENTS[kind]
         spec = ObjectiveSpec(
@@ -144,7 +142,16 @@ class TestLazyBlocks:
         naive, naive_gains, _ = _naive_greedy(build_objective(spec), 10)
         assert lazy.selected == naive.selected
         assert lazy_gains == naive_gains
-        assert kind == "logdet" or lazy.selected == list(range(10))
+        assert lazy.selected == list(range(10))
+
+    # logdet's residuals go through one BLAS product per commit, over rows
+    # padded to a multiple of PAD_COLUMNS, so no column is rounded apart
+    @pytest.mark.parametrize("n", (128, 131, 300, 2000))
+    @pytest.mark.parametrize("loop", (_lazy_greedy, _naive_greedy), ids=("lazy", "naive"))
+    def test_logdet_all_equal_order(self, n, loop):
+        spec = ObjectiveSpec("logdet", s_uu=SimilarityKernel(np.ones((n, n)), symmetric=True))
+        state, _, _ = loop(build_objective(spec), 10)
+        assert state.selected == list(range(10))
 
 
 class TestLazyLogDetScalarPath:
