@@ -52,9 +52,14 @@ class FeatureMatrix:
         if r.ndim != 2 or x.ndim != 2 or len(r) != len(x):
             raise DataFormatError(f"outer-product factors must be 2-D with equal rows, "
                                   f"got shapes {r.shape} and {x.shape}")
-        values = (r[:, :, None] * x[:, None, :]).reshape(len(r), -1)
+        if not (np.isfinite(r).all() and np.isfinite(x).all()):
+            raise DataFormatError("outer-product factors contain non-finite entries")
+        with np.errstate(over="ignore"):
+            values = (r[:, :, None] * x[:, None, :]).reshape(len(r), -1)
+        if not np.isfinite(values).all():
+            raise DataFormatError("outer products of the factors overflow")
         values.setflags(write=False)  # shared, not copied: see freeze
-        m = cls(values)  # finite values imply finite factors
+        m = cls(values)
         object.__setattr__(m, "factors", (r, x))
         return m
 

@@ -10,6 +10,8 @@ the elementwise product of two narrow Grams. It agrees with the product of
 the flattened rows to a few ulps per entry, not bitwise.
 The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
+One entrywise epilogue (unit diagonal under cosine, then the transform) finishes each kernel in
+place, per panel from factors; SimilarityKernel checks finiteness and symmetry in one tile pass.
 """
 
 import os
@@ -67,13 +69,20 @@ class SimilarityKernel:
         v = freeze(self.values)
         if v.ndim != 2:
             raise ShapeError(f"kernel must be 2-D, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ShapeError("kernel contains non-finite entries")
-        if self.symmetric:
-            if v.shape[0] != v.shape[1]:
-                raise ShapeError("symmetric kernel must be square")
-            if not all(np.array_equal(v[r, c], v[c, r].T) for r, c in _tile_pairs(len(v))):
-                raise ShapeError("symmetric flag set on a non-symmetric matrix")
+        mirror = self.symmetric and v.shape[0] == v.shape[1]
+        mismatch = False
+        # Non-finite entries are reported first; a mirror equal to a finite block
+        # is finite. Comparing a transposed copy is faster than a transposed view.
+        for block, image in _tiles(v, mirror):
+            finite = np.isfinite(block).all()
+            same = finite and (image is None or np.array_equal(block.T.copy(), image))
+            if not (finite and (same or np.isfinite(image).all())):
+                raise ShapeError("kernel contains non-finite entries")
+            mismatch = mismatch or not same
+        if self.symmetric and not mirror:
+            raise ShapeError("symmetric kernel must be square")
+        if mismatch:
+            raise ShapeError("symmetric flag set on a non-symmetric matrix")
         object.__setattr__(self, "values", v)
 
     @property
@@ -81,12 +90,15 @@ class SimilarityKernel:
         return self.values.shape
 
 
-def _tile_pairs(n):
-    """Yield (rows, cols) slices of the TILE blocks on and above the diagonal of n x n."""
-    for i in range(0, n, TILE):
+def _tiles(v, mirror):
+    """Yield (block, image) pairs holding every entry of v: with mirror, each TILE block on
+    or above the diagonal and the block its transpose must equal, else row panels and None."""
+    for i in range(0, len(v), TILE):
         rows = slice(i, i + TILE)
-        for j in range(i, n, TILE):
-            yield rows, slice(j, j + TILE)
+        if not mirror:
+            yield v[rows], None
+        for j in range(i, len(v) if mirror else i, TILE):
+            yield v[rows, j:j + TILE], v[j:j + TILE, rows]
 
 
 def _check_norms(norms, which):
@@ -126,35 +138,34 @@ def _shared_factors(a, b):
     return all(fa.shape[1] == fb.shape[1] for fa, fb in zip(a.factors, b.factors))
 
 
-def _factored_gram(r, x):
-    """(r @ r.T) * (x @ x.T), filled in row panels of TILE rows.
-
-    Each diagonal block is the product of two rank-k updates, which numpy
-    returns exactly symmetric; the panel right of it is written above the
-    diagonal and its transpose below, so the whole result is exactly symmetric.
-    """
+def _factored_gram(r, x, cfg):
+    """(r @ r.T) * (x @ x.T), finished, in row panels of TILE rows: each diagonal
+    block is a product of two rank-k updates, which numpy returns exactly
+    symmetric, and the panel right of it is mirrored below the diagonal."""
     n = len(r)
     g = np.empty((n, n))
     for i in range(0, n, TILE):
         b, rest = slice(i, i + TILE), slice(i + TILE, n)
         block = r[b] @ r[b].T
         block *= x[b] @ x[b].T
-        g[b, b] = block
+        g[b, b] = _epilogue(block, cfg, diagonal=True)
         panel = r[b] @ r[rest].T
         panel *= x[b] @ x[rest].T
-        g[b, rest] = panel
+        g[b, rest] = _epilogue(panel, cfg)
         g[rest, b] = panel.T
     return g
 
 
-def _apply_transform(g, transform):
-    """Apply the transform to g in place, make g read-only and return it."""
-    if transform == "shift-scale":
+def _epilogue(g, cfg, diagonal=False):
+    """Finish block g in place: a unit diagonal under cosine if it holds the kernel's, then
+    the transform. Each step is entrywise, so any split into blocks gives the same bytes."""
+    if diagonal and cfg.metric == "cosine":
+        np.fill_diagonal(g, 1.0)
+    if cfg.transform == "shift-scale":
         g += 1.0
-        g /= 2.0
-    elif transform == "clip":
+        g *= 0.5  # x * 0.5 and x / 2.0 both round the exact half of x: the same bytes
+    elif cfg.transform == "clip":
         np.maximum(g, 0.0, out=g)
-    g.setflags(write=False)  # shared, not copied: see datastore.freeze
     return g
 
 
@@ -187,19 +198,18 @@ def build_kernel(a, b, cfg=KernelConfig()):
     else:
         xa = _prepare_rows(a.values, cfg.metric, "left")
     if same:
-        g = _factored_gram(ra, xa) if factored else xa @ xa.T
-        if cfg.metric == "cosine":
-            np.fill_diagonal(g, 1.0)
-        return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=True)
-    if a.rows < b.rows:
+        g = _factored_gram(ra, xa, cfg) if factored else _epilogue(xa @ xa.T, cfg, diagonal=True)
+    elif a.rows < b.rows:
         return SimilarityKernel(build_kernel(b, a, cfg).values.T, symmetric=False)
-    if factored:
+    elif factored:
         rb, xb = _prepare_factors(b.factors, cfg.metric, "right")
         g = ra @ rb.T
         g *= xa @ xb.T
+        _epilogue(g, cfg)
     else:
-        g = xa @ _prepare_rows(b.values, cfg.metric, "right").T
-    return SimilarityKernel(_apply_transform(g, cfg.transform), symmetric=False)
+        g = _epilogue(xa @ _prepare_rows(b.values, cfg.metric, "right").T, cfg)
+    g.setflags(write=False)  # shared, not copied: see datastore.freeze
+    return SimilarityKernel(g, symmetric=same)
 
 
 def cholesky_or_raise(matrix, context):

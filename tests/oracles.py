@@ -10,7 +10,9 @@ against the factor of the selected block), as the reference for that path.
 `exhaustive_maximize` is the true optimum that greedy's `1 - 1/e` bound is
 checked against. `train_softmax_reference` and `badge_select_reference` are
 the training loop and k-means++ loop the library ran before it worked in
-place, kept as the bit-for-bit references for those paths.
+place, and `within_set_kernel`, `cross_kernel` and `factored_kernel` the
+kernel builds it ran before it finished each block in place, all kept as the
+bit-for-bit references for those paths.
 """
 
 import math
@@ -22,7 +24,7 @@ from scipy.linalg import solve_triangular
 from targetsel.datastore import FeatureMatrix
 from targetsel.errors import DivergenceError, SizeError
 from targetsel.harness import ToyModel, _softmax, _with_bias
-from targetsel.kernel import KernelConfig, build_kernel, cholesky_or_raise
+from targetsel.kernel import TILE, KernelConfig, build_kernel, cholesky_or_raise
 from targetsel.objectives import ObjectiveState, build_objective
 from targetsel.optimizer import TIE_TOL, SelectionResult
 
@@ -153,6 +155,35 @@ def within_set_kernel(x, cfg):
     g = _rows(x, cfg.metric)
     g = g @ g.T
     g = (g + g.T) / 2.0
+    if cfg.metric == "cosine":
+        np.fill_diagonal(g, 1.0)
+    return _transformed(g, cfg.transform)
+
+
+def factored_kernel(a, b, cfg):
+    """The kernel of two outer-product FeatureMatrix as the library built it
+    before it finished each panel as it was computed: within a set, the factor
+    Grams filled in row panels of TILE rows and mirrored below the diagonal,
+    then a unit diagonal under cosine and the transform, each over the whole
+    matrix; across sets, the product of the two factor Grams with the taller
+    matrix on the left, then the transform."""
+    if a is not b and len(a.factors[0]) < len(b.factors[0]):
+        return factored_kernel(b, a, cfg).T.copy()
+    ra, xa = (_rows(f, cfg.metric) for f in a.factors)
+    if a is not b:
+        rb, xb = (_rows(f, cfg.metric) for f in b.factors)
+        return _transformed((ra @ rb.T) * (xa @ xb.T), cfg.transform)
+    n = len(ra)
+    g = np.empty((n, n))
+    for i in range(0, n, TILE):
+        blk, rest = slice(i, i + TILE), slice(i + TILE, n)
+        block = ra[blk] @ ra[blk].T
+        block *= xa[blk] @ xa[blk].T
+        g[blk, blk] = block
+        panel = ra[blk] @ ra[rest].T
+        panel *= xa[blk] @ xa[rest].T
+        g[blk, rest] = panel
+        g[rest, blk] = panel.T
     if cfg.metric == "cosine":
         np.fill_diagonal(g, 1.0)
     return _transformed(g, cfg.transform)

@@ -218,14 +218,14 @@ class TestOuterProducts:
         with pytest.raises(TypeError):
             FeatureMatrix(np.eye(2), factors=(np.eye(2), np.ones((2, 1))))
 
-    @pytest.mark.parametrize("r,x", [
-        (np.ones((2, 3)), np.ones((3, 2))),
-        (np.ones(3), np.ones((3, 2))),
-        (np.ones((2, 0)), np.ones((2, 2))),
-        (np.full((1, 2), 1e200), np.full((1, 2), 1e200)),
-        (np.array([[np.nan, 1.0]]), np.ones((1, 2))),
-    ], ids=["unequal-rows", "1-d", "no-columns", "overflow", "nan"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_bad_factors_rejected(self, r, x):
-        with pytest.raises(DataFormatError):
+    @pytest.mark.parametrize("r,x,message", [
+        (np.ones((2, 3)), np.ones((3, 2)), "equal rows"),
+        (np.ones(3), np.ones((3, 2)), "equal rows"),
+        (np.ones((2, 0)), np.ones((2, 2)), "2-D and nonempty"),
+        (np.full((1, 2), 1e200), np.full((1, 2), 1e200), "outer products of the factors overflow"),
+        (np.array([[np.nan, 1.0]]), np.ones((1, 2)), "factors contain non-finite entries"),
+        (np.ones((1, 2)), np.array([[1.0, -np.inf]]), "factors contain non-finite entries"),
+    ], ids=["unequal-rows", "1-d", "no-columns", "overflow", "nan", "inf"])
+    def test_bad_factors_rejected(self, r, x, message):
+        with pytest.raises(DataFormatError, match=message):
             FeatureMatrix.outer(r, x)

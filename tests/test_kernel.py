@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from targetsel import kernel
+from targetsel import harness, kernel
 from targetsel.datastore import FeatureMatrix
 from targetsel.errors import DegenerateFeatureError, ShapeError, SizeError
 from targetsel.kernel import (METRICS, TILE, TRANSFORMS, KernelConfig, SimilarityKernel,
                               build_kernel)
 
-from oracles import cross_kernel, within_set_kernel
+from oracles import cross_kernel, factored_kernel, within_set_kernel
 
 # Sizes around the tile edges: one entry, one short of a tile, exactly one,
 # one over, and two full tiles plus a partial one.
@@ -197,6 +197,29 @@ class TestFactoredKernels:
                                cfg.metric)
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @pytest.mark.parametrize("n", FACTORED_SIZES)
+    def test_within_set_same_bytes_as_whole_matrix_epilogue(self, cfg, n):
+        for seed in range(3):
+            a, _ = outer_pair(seed, n)
+            assert build_kernel(a, a, cfg).values.tobytes() == factored_kernel(a, a, cfg).tobytes()
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @pytest.mark.parametrize("r,c", [(1, 1), (7, TILE + 5), (2 * TILE + 3, 15)])
+    def test_cross_same_bytes_as_whole_matrix_epilogue(self, cfg, r, c):
+        a, _ = outer_pair(r, r)
+        b, _ = outer_pair(c + 1, c)
+        assert build_kernel(a, b, cfg).values.tobytes() == factored_kernel(a, b, cfg).tobytes()
+
+    def test_protocol_pool_kernel_same_bytes(self):
+        # The 2000 x 2000 pool kernel of protocol seed 0, as every experiment builds it.
+        cfg = harness.ExperimentConfig()
+        data = harness.synthetic_generate(cfg, 0)
+        lake = harness.gradient_embeddings(harness.train_softmax(data.train, cfg), data.lake.x)
+        k = build_kernel(lake, lake)
+        assert k.shape == (cfg.lake_size, cfg.lake_size)
+        assert k.values.tobytes() == factored_kernel(lake, lake, KernelConfig()).tobytes()
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
     @pytest.mark.parametrize("r,c", [(1, 1), (7, TILE + 5), (2 * TILE + 3, 15)])
     def test_cross_matches_dense_and_transposes(self, cfg, r, c):
         a, plain_a = outer_pair(r, r)
@@ -270,6 +293,37 @@ class TestSymmetryCheck:
         m[r, c] = np.nextafter(m[r, c], np.inf)
         with pytest.raises(ShapeError, match="non-symmetric"):
             SimilarityKernel(m, symmetric=True)
+
+    # A non-finite entry in any tile, above or below the diagonal, with the
+    # symmetric flag set or not.
+    @pytest.mark.parametrize("flag", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lower", [False, True])
+    @pytest.mark.parametrize("bi,bj", [(i, j) for i in range(3) for j in range(i, 3)])
+    def test_non_finite_entry_is_rejected(self, symmetric, bi, bj, lower, bad, flag):
+        r, c = bi * TILE + 1, bj * TILE + 2
+        if lower:
+            r, c = c, r
+        m = symmetric.copy()
+        m[r, c] = bad
+        with pytest.raises(ShapeError, match="non-finite"):
+            SimilarityKernel(m, symmetric=flag)
+
+    def test_non_finite_is_reported_before_asymmetry(self, symmetric):
+        # the mismatch is in the first tile pair, the nan in the last one
+        m = symmetric.copy()
+        m[0, 1] = np.nextafter(m[0, 1], np.inf)
+        m[-1, -1] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            SimilarityKernel(m, symmetric=True)
+
+    def test_non_finite_is_reported_before_non_square(self):
+        m = np.ones((2 * TILE + 3, TILE))
+        m[-1, 0] = np.nan
+        with pytest.raises(ShapeError, match="non-finite"):
+            SimilarityKernel(m, symmetric=True)
+        with pytest.raises(ShapeError, match="must be square"):
+            SimilarityKernel(np.ones((2 * TILE + 3, TILE)), symmetric=True)
 
 
 def test_within_set_build_allocates_one_square_array():
