@@ -37,7 +37,9 @@ class DegenerateFeatureError(TargetselError):
 
 
 class IndefiniteKernelError(TargetselError):
-    """Cholesky failed on a log-det path; a larger ridge may help."""
+    """A log-det kernel is not usable: Cholesky failed, or no candidate is
+    left that is a pivot (the budget exceeds the kernel's numerical rank).
+    A larger ridge may help."""
 
 
 class DivergenceError(TargetselError):

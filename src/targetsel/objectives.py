@@ -42,6 +42,13 @@ KERNEL_REQUIREMENTS = {
 SUBMODULAR_KINDS = frozenset(KINDS) - {"dsum", "gcmi_div", "logdetmi"}
 
 PAD_COLUMNS = 64  # see CholeskyResiduals.__init__
+# A log-det candidate is a pivot while its Schur residual d, in every kernel,
+# exceeds PIVOT_TOL times its ridged pool diagonal (conditioned entries are
+# pool entries less a target term, so their round-off is on the pool's scale).
+# d/diag is round-off (1e-16, either sign) for a duplicate at ridge 0, 1e-6 on
+# an all-equal kernel at the default ridge, and at least 0.21 (logdet) and
+# 3.4e-3 (logdetmi) on default-protocol seeds 0-15 at budget 100.
+PIVOT_TOL = 1e-10  # at least four decades inside each end
 
 
 def check_parameters(eta, gamma, lambda_gc, ridge):
@@ -99,9 +106,8 @@ class Objective:
 
     Each kind writes its marginal gain once, as `_gain(state, idx)`,
     elementwise in idx: an int gives one gain, a slice the gain of each index
-    in it, so `gain` and `gains` run the same arithmetic. A nan gain marks a
-    candidate the incremental state cannot score, which is evaluated from
-    scratch instead.
+    in it, so `gain` and `gains` run the same arithmetic. A gain of -inf marks
+    a candidate that cannot be added, such as a non-pivot of a log-det kind.
     """
 
     lazy_safe = True
@@ -129,7 +135,7 @@ class Objective:
 
     def gain(self, state, a):
         self._check_candidate(state, a)
-        return self._scalar_gain(state, a)
+        return float(self._gain(state, a))
 
     def gains(self, state):
         """Marginal gain of every candidate at once; -inf at selected indices."""
@@ -138,33 +144,20 @@ class Objective:
             rows = slice(start, start + self.chunk)
             out[rows] = self._gain(state, rows)
         out[state.selected] = -np.inf
-        return self._nan_from_scratch(state, out, np.arange(self.n))
+        return out
 
     def gains_at(self, state, idx):
         """Marginal gains of the unselected candidates in the index array idx,
         from one _gain call."""
-        return self._nan_from_scratch(state, np.array(self._gain(state, idx), dtype=float), idx)
-
-    def _nan_from_scratch(self, state, out, idx):
-        # out[i] is the gain of idx[i]; a nan one is evaluated from scratch
-        for i in np.flatnonzero(np.isnan(out)):
-            out[i] = self._from_scratch(state, int(idx[i]))
-        return out
+        return self._gain(state, idx)
 
     def commit(self, state, a):
         self._check_candidate(state, a)
-        g = self._scalar_gain(state, a)
+        g = float(self._gain(state, a))
         self._commit(state, a)
         state.selected.append(a)
         state.value += g
         return state
-
-    def _scalar_gain(self, state, a):
-        g = float(self._gain(state, a))
-        return g if g == g else self._from_scratch(state, a)
-
-    def _from_scratch(self, state, a):
-        return self.evaluate(state.selected + [a]) - state.value
 
     def _commit(self, state, a):
         pass
@@ -263,9 +256,10 @@ class _ResidualLogDet(Objective):
 
     Subclasses set `kernels`, one (column, diag, name) triple per kernel; the
     gain of a is log d[a] for the first kernel minus log d[a] for each later
-    one. A commit keeps no factor: the next sync folds it in. A residual that
-    lost positivity numerically (d <= 0) has a nan log, so its candidate is
-    evaluated from scratch.
+    one. A commit keeps no factor: the next sync folds it in. A candidate
+    that is not a pivot (d <= PIVOT_TOL times the first kernel's diagonal,
+    in any kernel) has gain -inf, and once no unselected candidate is a
+    pivot every gain raises IndefiniteKernelError.
     """
 
     def _gain(self, state, idx):
@@ -287,7 +281,7 @@ class LogDetMI(_ResidualLogDet):
     lazy_safe = False
 
     def __init__(self, spec):
-        from scipy.linalg import solve_triangular  # imported here: only log-det kinds need it
+        from scipy.linalg import solve_triangular  # imported here: only logdetmi needs it
 
         super().__init__(spec)
         self.uu = spec.s_uu.values
@@ -412,10 +406,11 @@ class CholeskyResiduals:
     by the next sync.
     """
 
-    def __init__(self, column, diag, name):
+    def __init__(self, column, diag, name, floor):
         self.column = column  # j -> K[:, j] as a new array
         self.diag = diag
         self.name = name
+        self.floor = floor  # a pivot's residual must exceed this
         self.d = diag.copy()
         # The rows of E are zero-padded to a multiple of PAD_COLUMNS columns, so
         # that BLAS runs every real column through the same full-block code and
@@ -425,14 +420,14 @@ class CholeskyResiduals:
         self.t = 0  # committed indices folded in so far
 
     def sync(self, selected):
-        """Fold in the indices committed since the last call; returns d."""
+        """Fold in the indices committed since the last call; returns d.
+        A committed index that is not a pivot raises IndefiniteKernelError."""
         n = len(self.d)
         while self.t < len(selected):
             t, j = self.t, selected[self.t]
-            if self.d[j] <= 0:
-                # the pivot lost positive definiteness numerically
-                self._refactor(selected[: t + 1])
-                continue
+            if self.d[j] <= self.floor[j]:
+                raise IndefiniteKernelError(
+                    f"index {j} is not a pivot of the {self.name}; increase the ridge")
             e = self.column(j)
             e -= (self.rows[:t, j] @ self.rows[:t])[:n]
             e /= np.sqrt(self.d[j])
@@ -444,17 +439,6 @@ class CholeskyResiduals:
             self.d -= e * e
             self.t += 1
         return self.d
-
-    def _refactor(self, chosen):
-        from scipy.linalg import solve_triangular
-
-        block = np.array([self.column(j) for j in chosen])
-        factor = cholesky_or_raise(block[:, chosen], self.name)
-        e = solve_triangular(factor, block, lower=True)
-        self.rows = np.zeros((len(chosen), self.width))
-        self.rows[:, : len(self.d)] = e
-        self.d = self.diag - (e**2).sum(axis=0)
-        self.t = len(chosen)
 
 
 def _logdet(m):
@@ -477,14 +461,24 @@ def _conditioned_column(kernel, eps, eta, w, j):
 
 
 def _synced_logs(state, kernels):
-    """log d of the residuals of each (column, diag, name) kernel, nan where
-    d <= 0; kept in state.aux and brought up to date with state.selected."""
+    """log d of the residuals of each (column, diag, name) kernel, kept in
+    state.aux and brought up to date with state.selected. At a non-pivot the
+    first kernel's log is -inf and every other one 0, so its gain is -inf."""
     aux = state.aux
     if "residuals" not in aux:
-        aux["residuals"] = [CholeskyResiduals(*k) for k in kernels]
+        floor = PIVOT_TOL * kernels[0][1]
+        aux["residuals"] = [CholeskyResiduals(*k, floor) for k in kernels]
     if aux.get("synced") != len(state.selected):
-        ds = [r.sync(state.selected) for r in aux["residuals"]]
-        aux["logs"] = [np.log(d, out=np.full(len(d), np.nan), where=d > 0) for d in ds]
+        residuals = aux["residuals"]
+        ds = [r.sync(state.selected) for r in residuals]
+        pivot = np.logical_and.reduce([d > r.floor for d, r in zip(ds, residuals)])
+        pivot[state.selected] = False
+        if not pivot.any():
+            raise IndefiniteKernelError(
+                f"no candidate is a pivot: the kernel rank reached is {len(state.selected)}"
+                "; lower the budget or increase the ridge")
+        aux["logs"] = [np.log(d, out=np.zeros(len(d)), where=pivot) for d in ds]
+        aux["logs"][0][~pivot] = -np.inf
         aux["synced"] = len(state.selected)
     return aux["logs"]
 

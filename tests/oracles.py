@@ -22,10 +22,10 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from targetsel.datastore import FeatureMatrix
-from targetsel.errors import DivergenceError, SizeError
+from targetsel.errors import DivergenceError, IndefiniteKernelError, SizeError
 from targetsel.harness import ToyModel, _softmax, _with_bias
 from targetsel.kernel import TILE, KernelConfig, build_kernel, cholesky_or_raise
-from targetsel.objectives import ObjectiveState, build_objective
+from targetsel.objectives import PIVOT_TOL, ObjectiveState, build_objective
 from targetsel.optimizer import TIE_TOL, SelectionResult
 
 MAX_EXHAUSTIVE_SUBSETS = 10**6
@@ -133,6 +133,22 @@ def random_kernels(rng, n, m, d=6):
     )
 
 
+def duplicate_row_kernels(seed):
+    """Kernels of a 6-row pool whose rows 1 and 4 copy rows 0 and 2, and a
+    2-row target, from 8-dim random features: at ridge 0 the pool kernel has
+    rank 4, and so has the pool kernel conditioned on the target."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((6, 8))
+    x[1], x[4] = x[0], x[2]
+    pool, target = FeatureMatrix(x), FeatureMatrix(rng.standard_normal((2, 8)))
+    cfg = KernelConfig()
+    return (
+        build_kernel(pool, pool, cfg),
+        build_kernel(pool, target, cfg),
+        build_kernel(target, target, cfg),
+    )
+
+
 def _transformed(g, transform):
     if transform == "shift-scale":
         return (1.0 + g) / 2.0
@@ -205,20 +221,21 @@ class SolveLogDet:
     conditioned kernel) the state holds a lower Cholesky factor L of the
     selected block, and the gain of a comes from the Schur residual
     d = K_aa - |L^-1 K[A, a]|^2 as log d_1 - log d_2 (log d_1 alone for
-    logdet). A commit extends the pool factor by one row, or refactorizes it
-    when d <= 0, and refactorizes the conditioned factor; a candidate with
-    d <= 0 takes the from-scratch evaluation. Offers the `n`, `new_state`,
-    `gain`, `gains`, `gains_at` and `commit` that the greedy loops use; the
-    batched two are loops over the scalar gain.
+    logdet). A candidate with d <= PIVOT_TOL times its ridged pool-kernel
+    diagonal, in either kernel, is not a pivot: its gain is -inf, and
+    committing it raises IndefiniteKernelError. A commit extends the pool
+    factor by one row and refactorizes the conditioned factor. Offers the
+    `n`, `new_state`, `gain`, `gains`, `gains_at` and `commit` that the
+    greedy loops use; the batched two are loops over the scalar gain.
     """
 
     def __init__(self, spec):
-        obj = self.objective = build_objective(spec)
+        obj = build_objective(spec)
         self.n = obj.n
         uu, eps = obj.uu, obj.eps
-        # (column K[A, a], diagonal, block K[A, A]) per kernel
-        self.kernels = [(lambda sel, a: uu[sel, a], uu.diagonal() + eps,
-                         lambda idx: uu[np.ix_(idx, idx)] + eps * np.eye(len(idx)))]
+        # (column K[A, a], diagonal, block K[A, A]) per kernel; the pool
+        # kernel's factor grows by one row per commit and needs no block
+        self.kernels = [(lambda sel, a: uu[sel, a], uu.diagonal() + eps, None)]
         if spec.kind == "logdetmi":
             w, e2 = obj.w, spec.eta**2
 
@@ -246,8 +263,8 @@ class SolveLogDet:
 
     def gain(self, state, a):
         d = [self._schur(state, i, a)[0] for i in range(len(self.kernels))]
-        if min(d) <= 0:
-            return self.objective.evaluate(state.selected + [a]) - state.value
+        if min(d) <= PIVOT_TOL * self.kernels[0][1][a]:
+            return -np.inf
         return float(np.log(d[0]) - sum(np.log(x) for x in d[1:]))
 
     def gains_at(self, state, idx):
@@ -261,12 +278,12 @@ class SolveLogDet:
 
     def commit(self, state, a):
         g = self.gain(state, a)
+        if g == -np.inf:
+            raise IndefiniteKernelError(f"index {a} is not a pivot")
         idx = state.selected + [a]
         factors = state.aux["factors"]
         d, w = self._schur(state, 0, a)
-        if d <= 0:
-            factors[0] = cholesky_or_raise(self.kernels[0][2](idx), "pool kernel")
-        elif factors[0] is None:
+        if factors[0] is None:
             factors[0] = np.array([[np.sqrt(d)]])
         else:
             k = len(factors[0])

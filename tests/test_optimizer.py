@@ -5,15 +5,13 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import SolveLogDet, exhaustive_maximize, random_kernels
-from targetsel.datastore import FeatureMatrix
+from oracles import SolveLogDet, duplicate_row_kernels, exhaustive_maximize, random_kernels
 from targetsel.errors import ConfigurationError, IndefiniteKernelError, SizeError
-from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel
+from targetsel.kernel import SimilarityKernel
 from targetsel.objectives import (
     KERNEL_REQUIREMENTS,
     KINDS,
     SUBMODULAR_KINDS,
-    Objective,
     ObjectiveSpec,
     build_objective,
 )
@@ -175,37 +173,28 @@ class TestLazyLogDetScalarPath:
         assert res_evals == evals
         assert res_gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
 
-    def test_duplicate_rows_at_ridge_zero(self, monkeypatch):
-        # At ridge 0 duplicate pool rows leave residuals at or near zero, so
-        # lazy scalar gains reach the from-scratch fallback; they must end as
-        # the batched naive path does: the same selection or the same error.
-        fallbacks = []
-        evaluate_once = Objective.evaluate
-
-        def counted(obj, indices):
-            fallbacks.append(indices)
-            return evaluate_once(obj, indices)
-
-        def outcome(run):
-            try:
-                return run()
-            except IndefiniteKernelError as exc:
-                return type(exc)
-
+    def test_duplicate_rows_at_ridge_zero(self):
+        # At ridge 0 rows 1 and 4 copy rows 0 and 2, so the pool kernel has
+        # rank 4 and a copy of a selected row is not a pivot: lazy greedy,
+        # naive greedy and the solve reference pick the same four rows with
+        # the same gains on every seed, and all three raise on a fifth.
         for seed in range(8):
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal((6, 8))
-            x[1], x[4] = x[0], x[2]
-            pool = FeatureMatrix(x)
-            spec = ObjectiveSpec("logdet", s_uu=build_kernel(pool, pool, KernelConfig()),
-                                 ridge=0.0)
-            for k in range(3, 7):
-                with monkeypatch.context() as patch:
-                    patch.setattr(Objective, "evaluate", counted)
-                    lazy = outcome(lambda: _lazy_greedy(build_objective(spec), k)[0].selected)
-                naive = outcome(lambda: _naive_greedy(build_objective(spec), k)[0].selected)
-                assert lazy == naive, (seed, k)
-        assert fallbacks
+            uu, _, _ = duplicate_row_kernels(seed)
+            spec = ObjectiveSpec("logdet", s_uu=uu, ridge=0.0)
+            for k in (3, 4):
+                lazy, lazy_gains, _ = _lazy_greedy(build_objective(spec), k)
+                naive, naive_gains, _ = _naive_greedy(build_objective(spec), k)
+                ref, ref_gains, _ = _lazy_greedy(SolveLogDet(spec), k)
+                assert lazy.selected == naive.selected == ref.selected, (seed, k)
+                assert lazy_gains == naive_gains
+                assert lazy_gains == pytest.approx(ref_gains, rel=1e-10, abs=1e-10)
+                assert not {0, 1} <= set(lazy.selected) and not {2, 4} <= set(lazy.selected)
+            for k in (5, 6):
+                for loop in (_lazy_greedy, _naive_greedy):
+                    with pytest.raises(IndefiniteKernelError, match="rank reached is 4;"):
+                        loop(build_objective(spec), k)
+                with pytest.raises(IndefiniteKernelError, match="not a pivot"):
+                    _lazy_greedy(SolveLogDet(spec), k)
 
 
 class TestResultInvariants:

@@ -14,6 +14,9 @@ from targetsel.errors import ConfigurationError
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 
 
+DUPLICATE_ROW_POOL = "1.0,0.0\n0.6,0.8\n1.0,0.0\n"
+
+
 def write(path, text):
     path.write_text(text)
     return str(path)
@@ -172,6 +175,24 @@ class TestSelectCommand:
         proc = run_cli(["select", "--method", "gcmi", "--budget", "1",
                         "--unlabeled", write(tmp_path / "ok.csv", "1.0,2.0\n")])
         assert proc.returncode == 3
+        # row 2 copies row 0, so at ridge 0 the pool kernel has rank 2
+        dup = write(tmp_path / "dup.csv", DUPLICATE_ROW_POOL)
+        proc = run_cli(["select", "--method", "logdet", "--ridge", "0", "--budget", "3",
+                        "--unlabeled", dup])
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numerical error: ") and "rank reached is 2;" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_logdet_selection_leaves_scipy_linalg_unloaded(self, tmp_path):
+        # logdet reads everything from its Cholesky residuals; only logdetmi
+        # solves against the target factor with scipy
+        dup = write(tmp_path / "dup.csv", DUPLICATE_ROW_POOL)
+        proc = run_python(["-c", "import sys; from targetsel.pipeline import main; "
+                                 f"codes = [main(['select', '--method', 'logdet', '--ridge', '0', "
+                                 f"'--budget', b, '--unlabeled', {dup!r}]) for b in '23']; "
+                                 "print(codes, 'scipy.linalg' in sys.modules)"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 4] False"
 
 
 class TestManifestFidelity:
