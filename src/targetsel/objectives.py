@@ -254,13 +254,23 @@ class FacilityLocationMI2(_RunningMax):
 class _ResidualLogDet(Objective):
     """Gains of the log-det kinds, read from CholeskyResiduals in state.aux.
 
-    Subclasses set `kernels`, one (column, diag, name) triple per kernel; the
-    gain of a is log d[a] for the first kernel minus log d[a] for each later
-    one. A commit keeps no factor: the next sync folds it in. A candidate
-    that is not a pivot (d <= PIVOT_TOL times the first kernel's diagonal,
-    in any kernel) has gain -inf, and once no unselected candidate is a
-    pivot every gain raises IndefiniteKernelError.
+    `kernels` holds one (column, diag, name) triple per kernel: the ridged
+    pool kernel's first, then any that a subclass appends. The gain of a is
+    log d[a] for the first kernel minus log d[a] for each later one. A commit
+    keeps no factor: the next sync folds it in. A candidate that is not a
+    pivot (d <= PIVOT_TOL times the first kernel's diagonal, in any kernel)
+    has gain -inf, and once no unselected candidate is a pivot every gain
+    raises IndefiniteKernelError.
     """
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.uu = spec.s_uu.values
+        self.eps = spec.ridge
+        # partials over arrays, not bound methods: a reference back to self
+        # would keep every kernel alive until the cyclic garbage collector ran
+        self.kernels = ((partial(_ridged_column, self.uu, self.eps),
+                         self.uu.diagonal() + self.eps, "pool kernel"),)
 
     def _gain(self, state, idx):
         logs = _synced_logs(state, self.kernels)
@@ -284,21 +294,14 @@ class LogDetMI(_ResidualLogDet):
         from scipy.linalg import solve_triangular  # imported here: only logdetmi needs it
 
         super().__init__(spec)
-        self.uu = spec.s_uu.values
-        self.eps = spec.ridge
         l_q = cholesky_or_raise(
             spec.s_tt.values + self.eps * np.eye(spec.s_tt.shape[0]), "target kernel"
         )
         # w columns satisfy S_AQ S_Q^-1 S_AQ^T = W[:,A]^T W[:,A]
         self.w = solve_triangular(l_q, spec.s_ut.values.T, lower=True)
-        pool_diag = self.uu.diagonal() + self.eps
-        # partials over arrays, not bound methods: a reference back to self
-        # would keep every kernel alive until the cyclic garbage collector ran
-        self.kernels = (
-            (partial(_ridged_column, self.uu, self.eps), pool_diag, "pool kernel"),
-            (partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
-             pool_diag - spec.eta**2 * (self.w**2).sum(axis=0), "conditioned kernel"),
-        )
+        self.kernels += ((partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
+                          self.kernels[0][1] - spec.eta**2 * (self.w**2).sum(axis=0),
+                          "conditioned kernel"),)
 
     def _evaluate(self, indices):
         s_a = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
@@ -348,13 +351,6 @@ class LogDet(_ResidualLogDet):
     """log det(S_A + eps I) over the pool kernel."""
 
     lazy_pays = False
-
-    def __init__(self, spec):
-        super().__init__(spec)
-        self.uu = spec.s_uu.values
-        self.eps = spec.ridge
-        self.kernels = ((partial(_ridged_column, self.uu, self.eps),
-                         self.uu.diagonal() + self.eps, "pool kernel"),)
 
     def _evaluate(self, indices):
         return float(_logdet(self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))))

@@ -1,14 +1,13 @@
 """Cardinality-constrained greedy maximization, naive and lazy.
 
-Lazy greedy keeps stale upper bounds in a max-heap and re-evaluates popped
-candidates, up to LAZY_BLOCK stale ones per call, until the top is fresh
-(Minoux's accelerated greedy); under submodularity it returns the exact same
-index sequence as naive greedy, including the lowest-index tie rule (gains
-equal within 1e-12 absolute). Budgets are fixed: selection never stops early
-on zero or negative gains.
+Lazy greedy (Minoux's accelerated greedy) keeps an upper bound on every
+candidate's gain in one array, all stale after each commit, and while the
+highest bound is stale re-scores the LAZY_BLOCK highest stale ones per call.
+Under submodularity it returns the exact same index sequence as naive greedy,
+including the lowest-index tie rule (gains equal within 1e-12 absolute).
+Budgets are fixed: selection never stops early on zero or negative gains.
 """
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +16,7 @@ from .errors import ConfigurationError
 from .objectives import build_objective
 
 TIE_TOL = 1e-12
-LAZY_BLOCK = 32  # stale heap entries re-scored by one gains_at call
+LAZY_BLOCK = 32  # stale bounds re-scored by one gains_at call
 
 
 @dataclass
@@ -44,41 +43,41 @@ def _naive_greedy(obj, k):
     return state, gains, evals
 
 
+def _stale_block(bound, stale):
+    """The LAZY_BLOCK highest stale bounds, lowest index first among equals."""
+    idx = np.flatnonzero(stale)
+    b, j = bound[idx], max(len(idx) - LAZY_BLOCK, 0)
+    cut = np.partition(b, j)[j]  # the LAZY_BLOCK-th highest, or the lowest
+    take = b > cut
+    take[np.flatnonzero(b == cut)[:LAZY_BLOCK - np.count_nonzero(take)]] = True
+    return idx[take]
+
+
 def _lazy_greedy(obj, k):
     state = obj.new_state()
     gains = []
-    # (-bound, index, stamp); stamp = |selected| when the bound was computed
-    heap = [(-g, a, 0) for a, g in enumerate(obj.gains(state).tolist())]
+    bound = obj.gains(state)  # -inf once selected
+    stale = np.zeros(obj.n, dtype=bool)
     evals = obj.n
-    heapq.heapify(heap)
     for _ in range(k):
-        stamp = len(state.selected)
-        while heap[0][2] != stamp:
-            block = []
-            while heap and heap[0][2] != stamp and len(block) < LAZY_BLOCK:
-                block.append(heapq.heappop(heap)[1])
-            for a, g in zip(block, obj.gains_at(state, np.array(block)).tolist()):
-                heapq.heappush(heap, (-g, a, stamp))
+        top = int(np.argmax(bound))
+        # when every bound is -inf argmax may land on a selected index: re-score the stale ones
+        while stale[top] or bound[top] == -np.inf and stale.any():
+            block = _stale_block(bound, stale)
+            bound[block], stale[block] = obj.gains_at(state, block), False
             evals += len(block)
-        negb, idx, st = heapq.heappop(heap)
-        best_gain = -negb
-        entries = [(negb, idx, st)]
-        # candidates still bounded above the tie window may claim a lower index
-        while heap and -heap[0][0] >= best_gain - TIE_TOL:
-            negb, idx, st = heapq.heappop(heap)
-            if idx < entries[0][1] and st != stamp:
-                g = obj.gain(state, idx)
-                evals += 1
-                negb, st = -g, stamp
-            entries.append((negb, idx, st))
-        fresh = [(idx, -negb) for negb, idx, st in entries
-                 if st == stamp and -negb >= best_gain - TIE_TOL]
-        winner, winner_gain = min(fresh)
-        for negb, idx, st in entries:
-            if idx != winner:
-                heapq.heappush(heap, (negb, idx, st))
+            top = int(np.argmax(bound))
+        floor = bound[top] - TIE_TOL  # stale bounds of lower index this close may still win
+        near = np.flatnonzero(stale[:top] & (bound[:top] >= floor))
+        if len(near):
+            bound[near], stale[near] = obj.gains_at(state, near), False
+            evals += len(near)
+        winner = int(np.flatnonzero(bound[:top + 1] >= floor)[0])
+        gains.append(float(bound[winner]))
         obj.commit(state, winner)
-        gains.append(winner_gain)
+        bound[winner] = -np.inf
+        stale[:] = True
+        stale[state.selected] = False
     return state, gains, evals
 
 

@@ -25,7 +25,7 @@ from .errors import (
     SizeError,
     check_field_types,
 )
-from .kernel import KernelConfig
+from .kernel import METRICS, TRANSFORMS, KernelConfig
 from .objectives import KERNEL_REQUIREMENTS, check_parameters
 
 EXIT_INPUT = 2
@@ -203,9 +203,8 @@ def build_parser():
     sel.add_argument("--gamma", type=float, default=1.0)
     sel.add_argument("--lambda-gc", dest="lambda_gc", type=float, default=0.5)
     sel.add_argument("--ridge", type=float, default=1e-6)
-    sel.add_argument("--metric", choices=("cosine", "dot"), default="cosine")
-    sel.add_argument("--transform", choices=("none", "shift-scale", "clip"),
-                     default="shift-scale")
+    sel.add_argument("--metric", choices=METRICS, default="cosine")
+    sel.add_argument("--transform", choices=TRANSFORMS, default="shift-scale")
     sel.add_argument("--seed", type=int, default=0)
     sel.add_argument("--manifest", help="JSON manifest (or prior report) to re-run")
     sel.add_argument("--out", help="report path; '-' or omitted for stdout")

@@ -225,8 +225,8 @@ class SolveLogDet:
     diagonal, in either kernel, is not a pivot: its gain is -inf, and
     committing it raises IndefiniteKernelError. A commit extends the pool
     factor by one row and refactorizes the conditioned factor. Offers the
-    `n`, `new_state`, `gain`, `gains`, `gains_at` and `commit` that the
-    greedy loops use; the batched two are loops over the scalar gain.
+    `n`, `new_state`, `gains`, `gains_at` and `commit` that the greedy loops
+    use; the batched two are loops over the scalar `gain`.
     """
 
     def __init__(self, spec):

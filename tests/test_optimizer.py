@@ -12,10 +12,19 @@ from targetsel.objectives import (
     KERNEL_REQUIREMENTS,
     KINDS,
     SUBMODULAR_KINDS,
+    Objective,
     ObjectiveSpec,
+    ObjectiveState,
     build_objective,
 )
-from targetsel.optimizer import LAZY_BLOCK, _lazy_greedy, _naive_greedy, greedy_maximize
+from targetsel.optimizer import (
+    LAZY_BLOCK,
+    TIE_TOL,
+    _lazy_greedy,
+    _naive_greedy,
+    _stale_block,
+    greedy_maximize,
+)
 
 
 def random_spec(rng, kind, n=8, m=3):
@@ -127,8 +136,12 @@ class TestLazyBlocks:
             assert max(blocks) == LAZY_BLOCK, blocks
 
     @pytest.mark.parametrize("kind", sorted(SUBMODULAR_KINDS))
-    def test_all_equal_kernels(self, kind):
-        # every gain ties at every step, so both loops take the lowest index
+    def test_all_equal_kernels(self, kind, monkeypatch):
+        # every gain ties at every step (a plateau), so both loops take the
+        # lowest index; lazy greedy re-scores in blocks of at most LAZY_BLOCK
+        # and never calls the scalar Objective.gain
+        scalar = []
+        monkeypatch.setattr(Objective, "gain", lambda self, state, a: scalar.append(a))
         n = 4 * LAZY_BLOCK + 3
         need = KERNEL_REQUIREMENTS[kind]
         spec = ObjectiveSpec(
@@ -136,11 +149,28 @@ class TestLazyBlocks:
             s_uu=SimilarityKernel(np.ones((n, n)), symmetric=True) if "uu" in need else None,
             s_ut=SimilarityKernel(np.ones((n, 4))) if "ut" in need else None,
         )
-        lazy, lazy_gains, _ = _lazy_greedy(build_objective(spec), 10)
-        naive, naive_gains, _ = _naive_greedy(build_objective(spec), 10)
+        obj = build_objective(spec)
+        blocks = []
+        gains_at = obj.gains_at
+        obj.gains_at = lambda state, idx: blocks.append(len(idx)) or gains_at(state, idx)
+        lazy, lazy_gains, lazy_evals = _lazy_greedy(obj, 10)
+        naive, naive_gains, naive_evals = _naive_greedy(build_objective(spec), 10)
         assert lazy.selected == naive.selected
         assert lazy_gains == naive_gains
         assert lazy.selected == list(range(10))
+        assert 0 < max(blocks) <= LAZY_BLOCK, blocks
+        assert lazy_evals <= naive_evals
+        assert greedy_maximize(spec, 10).selected == lazy.selected
+        assert scalar == []
+
+    def test_block_takes_lowest_index_among_equal_bounds(self):
+        # 34 stale bounds tie at the top: the block is the 32 lowest of them,
+        # so a plateau's lowest index is re-scored in the first block
+        bound = np.array([3.0, 1.0, 2.0, 2.0, -np.inf] + [2.0] * LAZY_BLOCK)
+        stale = np.arange(len(bound)) > 0
+        assert _stale_block(bound, stale).tolist() == [2, 3] + list(range(5, LAZY_BLOCK + 3))
+        # with no more than LAZY_BLOCK stale bounds, the block is all of them
+        assert _stale_block(bound[:6], stale[:6]).tolist() == [1, 2, 3, 4, 5]
 
     # logdet's residuals go through one BLAS product per commit, over rows
     # padded to a multiple of PAD_COLUMNS, so no column is rounded apart
@@ -150,6 +180,53 @@ class TestLazyBlocks:
         spec = ObjectiveSpec("logdet", s_uu=SimilarityKernel(np.ones((n, n)), symmetric=True))
         state, _, _ = loop(build_objective(spec), 10)
         assert state.selected == list(range(10))
+
+
+class TableObjective:
+    """Stub objective whose gains after t commits are row t of a table."""
+
+    def __init__(self, table):
+        self.table = np.asarray(table, dtype=float)
+        self.n = self.table.shape[1]
+        self.calls = []  # the index arrays passed to gains_at
+
+    def new_state(self):
+        return ObjectiveState()
+
+    def gains(self, state):
+        out = self.table[len(state.selected)].copy()
+        out[state.selected] = -np.inf
+        return out
+
+    def gains_at(self, state, idx):
+        self.calls.append(list(idx))
+        return self.table[len(state.selected)][idx]
+
+    def commit(self, state, a):
+        state.value += self.table[len(state.selected)][a]
+        state.selected.append(a)
+        return state
+
+
+class TestLazyTieWindow:
+    """After a commit, index 1's stale bound sits within TIE_TOL below the
+    LAZY_BLOCK stale bounds of indices 2 and up, which the first block
+    re-scores to a fresh top at index 2. Index 1 may still claim the step:
+    only its own re-score, in one more gains_at call, decides."""
+
+    @pytest.mark.parametrize("rescored, winner", ((5.0 - TIE_TOL / 2, 1), (4.0, 2)),
+                             ids=("still-ties", "falls-out"))
+    def test_stale_near_tie(self, rescored, winner):
+        n = LAZY_BLOCK + 2
+        first = [10.0, 5.0 - TIE_TOL / 2] + [5.0] * LAZY_BLOCK
+        second = [0.0, rescored] + [5.0] * LAZY_BLOCK
+        lazy_obj = TableObjective([first, second])
+        lazy, lazy_gains, lazy_evals = _lazy_greedy(lazy_obj, 2)
+        naive, naive_gains, naive_evals = _naive_greedy(TableObjective([first, second]), 2)
+        assert lazy.selected == naive.selected == [0, winner]
+        assert lazy_gains == naive_gains == [10.0, second[winner]]
+        assert lazy_obj.calls == [list(range(2, n)), [1]]
+        assert lazy_evals == n + LAZY_BLOCK + 1 <= naive_evals
 
 
 class TestLazyLogDetScalarPath:
@@ -172,6 +249,19 @@ class TestLazyLogDetScalarPath:
         assert res.selected == state.selected
         assert res_evals == evals
         assert res_gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
+
+    def test_exhausted_after_fresh_non_pivots(self):
+        # rows 0 and 1 are equal, so at ridge 0 the kernel has rank 2. Index 1
+        # is re-scored to a fresh -inf in step 1, so after the second commit
+        # every bound is -inf; lazy greedy must still re-score the stale
+        # index 1 and raise, never take selected index 0 as the top.
+        uu = SimilarityKernel(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]]),
+                              symmetric=True)
+        spec = ObjectiveSpec("logdet", s_uu=uu, ridge=0.0)
+        assert _lazy_greedy(build_objective(spec), 2)[0].selected == [0, 2]
+        for loop in (_lazy_greedy, _naive_greedy):
+            with pytest.raises(IndefiniteKernelError, match="rank reached is 2;"):
+                loop(build_objective(spec), 3)
 
     def test_duplicate_rows_at_ridge_zero(self):
         # At ridge 0 rows 1 and 4 copy rows 0 and 2, so the pool kernel has
