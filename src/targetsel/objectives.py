@@ -291,14 +291,16 @@ class LogDetMI(_ResidualLogDet):
     lazy_safe = False
 
     def __init__(self, spec):
-        from scipy.linalg import solve_triangular  # imported here: only logdetmi needs it
-
         super().__init__(spec)
         l_q = cholesky_or_raise(
             spec.s_tt.values + self.eps * np.eye(spec.s_tt.shape[0]), "target kernel"
         )
-        # w columns satisfy S_AQ S_Q^-1 S_AQ^T = W[:,A]^T W[:,A]
-        self.w = solve_triangular(l_q, spec.s_ut.values.T, lower=True)
+        # w columns satisfy S_AQ S_Q^-1 S_AQ^T = W[:,A]^T W[:,A]; forward
+        # substitution keeps every selection on numpy's one BLAS thread pool
+        b = spec.s_ut.values.T
+        self.w = np.empty(b.shape)
+        for i in range(len(b)):
+            self.w[i] = (b[i] - l_q[i, :i] @ self.w[:i]) / l_q[i, i]
         self.kernels += ((partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
                           self.kernels[0][1] - spec.eta**2 * (self.w**2).sum(axis=0),
                           "conditioned kernel"),)

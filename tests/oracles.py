@@ -4,9 +4,15 @@ Everything here is written with explicit double loops and cofactor
 determinants so the reference shares no code path with the incremental
 implementations it checks. Only usable at tiny sizes (n <= 8).
 
-`SolveLogDet` is the one exception: it keeps the scalar log-det gain the
+`ExactLogDet` gives the logdet and logdetmi gains in exact rational
+arithmetic (stdlib `fractions`) from the library's own float kernels, ridge
+and target solve `w`: each kernel's Schur residual is the exact ratio
+det K[A+a] / det K[A], the pivot rule is the library's, and one `math.log`
+rounds the gain. It is the reference that the library's naive log-det gains
+are held to within 1e-10. `SolveLogDet` keeps the scalar log-det gain the
 library computed before its gains read Cholesky residuals (a triangular solve
-against the factor of the selected block), as the reference for that path.
+against the factor of the selected block), as the reference for the lazy loop
+and the pivot rule at ridge 0.
 `exhaustive_maximize` is the true optimum that greedy's `1 - 1/e` bound is
 checked against. `train_softmax_reference` and `badge_select_reference` are
 the training loop and k-means++ loop the library ran before it worked in
@@ -16,6 +22,7 @@ bit-for-bit references for those paths.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -292,6 +299,82 @@ class SolveLogDet:
             factors[0] = grown
         for i in range(1, len(self.kernels)):
             factors[i] = cholesky_or_raise(self.kernels[i][2](idx), "conditioned kernel")
+        state.selected.append(a)
+        state.value += g
+        return state
+
+
+def det_exact(m):
+    """Determinant of a square list of Fractions by exact Gaussian elimination."""
+    m = [list(row) for row in m]
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            for j in range(c + 1, len(m)):
+                m[r][j] -= f * m[c][j]
+    return det
+
+
+class ExactLogDet:
+    """The logdet/logdetmi gain in exact rational arithmetic, as the reference
+    for the library's floating-point gains.
+
+    It reads the library's own float inputs: the pool kernel, the ridge `eps`
+    and, for logdetmi, the target solve `w`. Every one converts exactly to a
+    Fraction, and so do the ridged pool kernel K_1 = uu + eps I and the
+    conditioned kernel K_2 = uu - eta^2 w^T w + eps I built from them. The
+    Schur residual of a candidate a in kernel K is the exact ratio
+    r = det K[A+a] / det K[A]. A candidate with r <= PIVOT_TOL times its
+    ridged pool-kernel diagonal, in either kernel, is not a pivot: its gain is
+    -inf, and committing it raises IndefiniteKernelError. Otherwise the gain is
+    math.log of r_1 (logdet) or of r_1 / r_2 (logdetmi), rounded once. Offers
+    the `n`, `new_state`, `gain` and `commit` of a scalar greedy loop; usable
+    at tiny sizes only (n <= 8).
+    """
+
+    def __init__(self, spec):
+        obj = build_objective(spec)
+        self.n = obj.n
+        eps = Fraction(obj.eps)
+        uu = [[Fraction(x) for x in row] for row in obj.uu.tolist()]
+        pool = [[x + eps * (a == b) for b, x in enumerate(row)] for a, row in enumerate(uu)]
+        self.kernels = [pool]
+        if spec.kind == "logdetmi":
+            w = [[Fraction(x) for x in row] for row in obj.w.tolist()]
+            e2 = Fraction(spec.eta) ** 2
+            self.kernels.append([[x - e2 * sum(col[a] * col[b] for col in w)
+                                  for b, x in enumerate(row)] for a, row in enumerate(pool)])
+        self.floor = [Fraction(PIVOT_TOL) * pool[a][a] for a in range(self.n)]
+
+    def new_state(self):
+        # the determinant of each kernel's selected block, 1 for the empty block
+        return ObjectiveState(aux={"dets": [Fraction(1)] * len(self.kernels)})
+
+    def residuals(self, state, a):
+        """Per kernel, det K[A+a] and the exact Schur residual det K[A+a] / det K[A]."""
+        idx = state.selected + [a]
+        dets = [det_exact([[k[r][c] for c in idx] for r in idx]) for k in self.kernels]
+        return dets, [d / base for d, base in zip(dets, state.aux["dets"])]
+
+    def gain(self, state, a):
+        ratios = self.residuals(state, a)[1]
+        if min(ratios) <= self.floor[a]:
+            return -math.inf
+        return math.log(ratios[0] / math.prod(ratios[1:]))
+
+    def commit(self, state, a):
+        g = self.gain(state, a)
+        if g == -math.inf:
+            raise IndefiniteKernelError(f"index {a} is not a pivot")
+        state.aux["dets"] = self.residuals(state, a)[0]
         state.selected.append(a)
         state.value += g
         return state

@@ -5,11 +5,19 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
-from oracles import SolveLogDet, duplicate_row_kernels, eval_reference, random_kernels
+from oracles import (
+    ExactLogDet,
+    SolveLogDet,
+    duplicate_row_kernels,
+    eval_reference,
+    random_kernels,
+)
+from targetsel import harness
 from targetsel.datastore import FeatureMatrix
 from targetsel.errors import ConfigurationError, IndefiniteKernelError
-from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel
+from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel, cholesky_or_raise
 from targetsel.objectives import (
     KINDS,
     PIVOT_TOL,
@@ -399,8 +407,8 @@ class TestBatchedGains:
     @pytest.mark.parametrize("kind", KINDS)
     def test_naive_greedy_matches_scalar_reference(self, kind):
         # the log-det kinds' scalar gain reads the batched path's residuals, so
-        # their reference is the solve-based scalar gain those replaced
-        reference = SolveLogDet if "logdet" in kind else build_objective
+        # their reference is the exact gain from the same float kernels and w
+        reference = ExactLogDet if "logdet" in kind else build_objective
         rng = np.random.default_rng(KINDS.index(kind))
         for _ in range(10):
             n = int(rng.integers(3, 9))
@@ -499,3 +507,86 @@ class TestBatchedGains:
         obj.commit(state, 1)
         with pytest.raises(IndefiniteKernelError, match="not a pivot of the pool kernel"):
             obj.gains(state)
+
+
+class TestTargetSolve:
+    """LogDetMI.w, forward substitution on the ridged target factor, against
+    scipy's triangular solve and against its own system."""
+
+    @staticmethod
+    def _check(spec):
+        w = build_objective(spec).w
+        b = spec.s_ut.values.T
+        l_q = cholesky_or_raise(spec.s_tt.values + spec.ridge * np.eye(len(b)), "target kernel")
+        assert np.abs(w - solve_triangular(l_q, b, lower=True)).max() <= 1e-13 * np.abs(w).max()
+        # the backward error of forward substitution: m ulps of |L| |w| per entry
+        bound = len(b) * np.finfo(float).eps * (np.abs(l_q) @ np.abs(w))
+        assert np.all(np.abs(l_q @ w - b) <= bound)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_spec(self, seed):
+        rng = np.random.default_rng(seed)
+        self._check(random_spec(rng, "logdetmi", n=int(rng.integers(3, 9)),
+                                m=int(rng.integers(1, 7))))
+
+    def test_protocol_seed(self):
+        # the spec that select_indices builds for logdetmi at protocol seed 0
+        cfg = harness.ExperimentConfig()
+        data = harness.synthetic_generate(cfg, 0)
+        base = harness.train_softmax(data.train, cfg)
+        kernels = harness.KernelCache(harness.gradient_embeddings(base, data.lake.x),
+                                      harness.gradient_embeddings(base, data.target.x,
+                                                                  data.target.y))
+        self._check(ObjectiveSpec("logdetmi", s_uu=kernels.get("uu"), s_ut=kernels.get("ut"),
+                                  s_tt=kernels.get("tt"), eta=cfg.eta, ridge=cfg.ridge))
+
+
+class TestExactLogDet:
+    """The exact log-det reference, checked where its answer is known."""
+
+    @staticmethod
+    def _spec(kind, uu, ut, tt, **kw):
+        return ObjectiveSpec(kind, s_uu=uu, s_ut=ut if kind == "logdetmi" else None,
+                             s_tt=tt if kind == "logdetmi" else None, **kw)
+
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
+    def test_duplicate_row_copy_is_not_a_pivot(self, kind):
+        # at ridge 0 the copy of a selected row has an exact residual of 0 where
+        # the float kernel holds both rows bit for bit, and of a few ulps where
+        # rounding set them apart: its gain is -inf either way
+        exact_copies = 0
+        for seed in range(8):
+            uu, ut, tt = duplicate_row_kernels(seed)
+            ref = ExactLogDet(self._spec(kind, uu, ut, tt, ridge=0.0))
+            for a, copy in ((0, 1), (1, 0), (2, 4), (4, 2)):
+                state = ref.new_state()
+                ref.commit(state, a)
+                assert ref.gain(state, copy) == -np.inf, (seed, a)
+                if np.array_equal(uu.values[a], uu.values[copy]):
+                    exact_copies += 1
+                    assert ref.residuals(state, copy)[1] == [0] * len(ref.kernels)
+                with pytest.raises(IndefiniteKernelError, match="not a pivot"):
+                    ref.commit(state, copy)
+        assert exact_copies > 0
+
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
+    def test_gains_match_eval_reference(self, kind):
+        # at the default ridge every gain is the difference of two cofactor
+        # evaluations, along a random commit order
+        rng = np.random.default_rng(71 + KINDS.index(kind))
+        for _ in range(4):
+            n = int(rng.integers(3, 6))
+            uu, ut, tt = random_kernels(rng, n, 2)
+            spec = self._spec(kind, uu, ut, tt)
+            ref = ExactLogDet(spec)
+            state = ref.new_state()
+
+            def value(idx):
+                return eval_reference(kind, idx, uu=uu.values, ut=ut.values, tt=tt.values,
+                                      eta=spec.eta, eps=spec.ridge)
+
+            for a in rng.permutation(n).tolist():
+                expected = value(state.selected + [a]) - value(state.selected)
+                assert ref.gain(state, a) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                ref.commit(state, a)
+            assert state.value == pytest.approx(value(state.selected), rel=1e-9, abs=1e-9)

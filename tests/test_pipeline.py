@@ -183,16 +183,20 @@ class TestSelectCommand:
         assert proc.stderr.startswith("numerical error: ") and "rank reached is 2;" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    def test_logdet_selection_leaves_scipy_linalg_unloaded(self, tmp_path):
-        # logdet reads everything from its Cholesky residuals; only logdetmi
-        # solves against the target factor with scipy
+    def test_logdet_selection_leaves_scipy_linalg_unloaded(self, tmp_path, pool_file,
+                                                           target_file):
+        # logdet reads everything from its Cholesky residuals, and logdetmi
+        # solves against the target factor by numpy forward substitution
         dup = write(tmp_path / "dup.csv", DUPLICATE_ROW_POOL)
         proc = run_python(["-c", "import sys; from targetsel.pipeline import main; "
                                  f"codes = [main(['select', '--method', 'logdet', '--ridge', '0', "
                                  f"'--budget', b, '--unlabeled', {dup!r}]) for b in '23']; "
+                                 f"codes.append(main(['select', '--method', 'logdetmi', "
+                                 f"'--budget', '2', '--unlabeled', {pool_file!r}, "
+                                 f"'--target', {target_file!r}])); "
                                  "print(codes, 'scipy.linalg' in sys.modules)"])
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[0, 4] False"
+        assert proc.stdout.splitlines()[-1] == "[0, 4, 0] False"
 
 
 class TestManifestFidelity:
