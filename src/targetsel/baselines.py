@@ -1,5 +1,6 @@
 """Non-submodular selection baselines: random, uncertainty sampling (entropy),
-targeted uncertainty sampling, and k-means++ seeding over gradient embeddings.
+targeted uncertainty sampling, and k-means++ seeding over gradient embeddings
+(BADGE, Ash et al., ICLR 2020).
 
 All baselines are deterministic given their inputs and seed, and report their
 output through the same SelectionResult container as the greedy optimizers.
@@ -29,17 +30,16 @@ def _top_k(scores, k):
     )
 
 
+def _drawn(chosen, evaluations):
+    """A selection of randomly drawn indices: no gains and no value."""
+    return SelectionResult(selected=[int(i) for i in chosen], gains=[0.0] * len(chosen),
+                           total_value=0.0, evaluations=evaluations)
+
+
 def random_select(n, k, seed):
     """k distinct indices drawn uniformly without replacement."""
     _check_budget(k, n)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(n, size=k, replace=False)
-    return SelectionResult(
-        selected=[int(i) for i in chosen],
-        gains=[0.0] * k,
-        total_value=0.0,
-        evaluations=0,
-    )
+    return _drawn(np.random.default_rng(seed).choice(n, size=k, replace=False), 0)
 
 
 def entropy_scores(probs):
@@ -80,37 +80,49 @@ def _squared_distances(x, center, buf, out):
     return out
 
 
+def _factored_distances(r, x):
+    """c -> squared distances of the rows r_i (x) x_i to row c:
+    |r_i|^2|x_i|^2 + |r_c|^2|x_c|^2 - 2(r_i.r_c)(x_i.x_c), clamped at 0. At copies of
+    row c, where the dense path gives exactly 0, the expansion leaves round-off,
+    so rows within round-off of 0 that equal row c in both factors get exactly 0."""
+    sq = np.einsum("ij,ij->i", r, r) * np.einsum("ij,ij->i", x, x)
+
+    def distances(c):
+        scale = sq + sq[c]
+        out = np.maximum(scale - 2.0 * (r @ r[c]) * (x @ x[c]), 0.0)
+        near = np.flatnonzero(out <= 1e-12 * scale)
+        out[near[(r[near] == r[c]).all(axis=1) & (x[near] == x[c]).all(axis=1)]] = 0.0
+        return out
+    return distances
+
+
 def badge_select(embeddings, k, seed):
     """k-means++ seeding over embedding rows; returns centers in draw order.
 
     The next center is drawn with probability proportional to squared distance
     to the nearest chosen center; if every distance is zero the draw falls back
-    to uniform over the unchosen indices.
+    to uniform over the unchosen indices. Distances come from the outer-product
+    factors when the embeddings carry them, else from the dense rows.
     """
-    x = embeddings.values
-    n = x.shape[0]
+    n = embeddings.rows
     _check_budget(k, n)
     rng = np.random.default_rng(seed)
-    chosen = []
     if k == 0:
-        return SelectionResult(selected=[], gains=[], total_value=0.0, evaluations=0)
-    first = int(rng.integers(n))
-    chosen.append(first)
-    buf = np.empty((min(n, BADGE_BLOCK), x.shape[1]))
-    d2 = _squared_distances(x, x[first], buf, np.empty(n))
-    new = np.empty(n)
+        return _drawn([], 0)
+    if embeddings.factors is not None:
+        distances = _factored_distances(*embeddings.factors)
+    else:
+        x = embeddings.values
+        buf = np.empty((min(n, BADGE_BLOCK), x.shape[1]))
+        distances = lambda c: _squared_distances(x, x[c], buf, np.empty(n))
+    chosen = [int(rng.integers(n))]
+    d2 = distances(chosen[0])
     while len(chosen) < k:
         total = d2.sum()
         if total > 0:
             nxt = int(rng.choice(n, p=d2 / total))
         else:
-            pool = np.setdiff1d(np.arange(n), chosen)
-            nxt = int(rng.choice(pool))
+            nxt = int(rng.choice(np.setdiff1d(np.arange(n), chosen)))
         chosen.append(nxt)
-        np.minimum(d2, _squared_distances(x, x[nxt], buf, new), out=d2)
-    return SelectionResult(
-        selected=chosen,
-        gains=[0.0] * k,
-        total_value=0.0,
-        evaluations=n * k,
-    )
+        np.minimum(d2, distances(nxt), out=d2)
+    return _drawn(chosen, n * k)

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-The CLI maps these onto exit codes: input/format problems -> 2,
-configuration problems -> 3, numerical failures -> 4.
+Each carries the CLI's exit code for it and the prefix of its stderr line:
+input/format problems -> 2, configuration problems -> 3, numerical failures -> 4.
 """
 
 from dataclasses import fields
@@ -9,7 +9,8 @@ from numbers import Integral, Real
 
 
 class TargetselError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors; an input error unless a subclass says otherwise."""
+    exit_code, prefix = 2, "input error"
 
 
 class DataFormatError(TargetselError):
@@ -30,6 +31,7 @@ class SizeError(TargetselError):
 
 class ConfigurationError(TargetselError):
     """Inconsistent or incomplete run configuration."""
+    exit_code, prefix = 3, "configuration error"
 
 
 class DegenerateFeatureError(TargetselError):
@@ -40,10 +42,12 @@ class IndefiniteKernelError(TargetselError):
     """A log-det kernel is not usable: Cholesky failed, or no candidate is
     left that is a pivot (the budget exceeds the kernel's numerical rank).
     A larger ridge may help."""
+    exit_code, prefix = 4, "numerical error"
 
 
 class DivergenceError(TargetselError):
     """Training produced a non-finite loss."""
+    exit_code, prefix = 4, "numerical error"
 
 
 def check_field_types(instance):

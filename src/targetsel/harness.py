@@ -265,14 +265,9 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None)
     every method clamps the budget to the lake and flags a clamped one truncated."""
     kernels = kernels or KernelCache(lake_emb, target_emb)
     if method in KINDS:
-        need = KERNEL_REQUIREMENTS[method]
-        spec = ObjectiveSpec(
-            kind=method,
-            s_uu=kernels.get("uu") if "uu" in need else None,
-            s_ut=kernels.get("ut") if "ut" in need else None,
-            s_tt=kernels.get("tt") if "tt" in need else None,
-            eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge,
-        )
+        spec = ObjectiveSpec(method, **{f"s_{name}": kernels.get(name)
+                                        for name in KERNEL_REQUIREMENTS[method]},
+                             eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge)
         return greedy_maximize(spec, cfg.budget)
     k = min(cfg.budget, lake_emb.rows)
     if method == "random":
@@ -330,10 +325,8 @@ def run_experiment(cfg, methods=None):
         for method in methods:
             result = select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels)
             chosen = np.array(result.selected, dtype=np.int64)
-            aug = LabeledSplit(
-                np.vstack([data.train.x, data.lake.x[chosen]]) if len(chosen) else data.train.x,
-                np.concatenate([data.train.y, data.lake.y[chosen]]) if len(chosen) else data.train.y,
-            )
+            aug = LabeledSplit(np.vstack([data.train.x, data.lake.x[chosen]]),
+                               np.concatenate([data.train.y, data.lake.y[chosen]]))
             retrained = train_softmax(aug, cfg)
             post_target, post_overall = _accuracies(retrained, data.test, data.target_classes)
             entries[method].append({

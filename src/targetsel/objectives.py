@@ -260,8 +260,10 @@ class _ResidualLogDet(Objective):
     keeps no factor: the next sync folds it in. A candidate that is not a
     pivot (d <= PIVOT_TOL times the first kernel's diagonal, in any kernel)
     has gain -inf, and once no unselected candidate is a pivot every gain
-    raises IndefiniteKernelError.
+    raises IndefiniteKernelError, with `remark` added when the last kernel has no pivot left.
     """
+
+    remark = ""
 
     def __init__(self, spec):
         super().__init__(spec)
@@ -272,8 +274,12 @@ class _ResidualLogDet(Objective):
         self.kernels = ((partial(_ridged_column, self.uu, self.eps),
                          self.uu.diagonal() + self.eps, "pool kernel"),)
 
+    def _evaluate(self, indices):
+        s_a = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
+        return float(_logdet(s_a, PIVOT_TOL * s_a.diagonal(), "pool kernel"))
+
     def _gain(self, state, idx):
-        logs = _synced_logs(state, self.kernels)
+        logs = _synced_logs(state, self.kernels, self.remark)
         out = logs[0][idx]
         for log_d in logs[1:]:
             out = out - log_d[idx]
@@ -304,14 +310,15 @@ class LogDetMI(_ResidualLogDet):
         self.kernels += ((partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
                           self.kernels[0][1] - spec.eta**2 * (self.w**2).sum(axis=0),
                           "conditioned kernel"),)
+        if spec.eta > 1:
+            self.remark = "; eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite"
 
     def _evaluate(self, indices):
-        s_a = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
         cond = self.uu[np.ix_(indices, indices)] - self.spec.eta**2 * (
-            self.w[:, indices].T @ self.w[:, indices]
-        )
+            self.w[:, indices].T @ self.w[:, indices])
         cond[np.diag_indices_from(cond)] += self.eps
-        return float(_logdet(s_a) - _logdet(cond))
+        floor = PIVOT_TOL * self.kernels[0][1][indices]
+        return super()._evaluate(indices) - float(_logdet(cond, floor, "conditioned kernel"))
 
 
 class FacilityLocation(_RunningMax):
@@ -353,9 +360,6 @@ class LogDet(_ResidualLogDet):
     """log det(S_A + eps I) over the pool kernel."""
 
     lazy_pays = False
-
-    def _evaluate(self, indices):
-        return float(_logdet(self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))))
 
 
 class DisparitySum(_RunningSum):
@@ -439,11 +443,12 @@ class CholeskyResiduals:
         return self.d
 
 
-def _logdet(m):
-    sign, ld = np.linalg.slogdet(m)
-    if sign <= 0:
-        raise IndefiniteKernelError("log-det evaluation hit a non-PD matrix; increase the ridge")
-    return ld
+def _logdet(m, floor, name):
+    """slogdet's log det m, under the greedy loops' pivot rule: IndefiniteKernelError
+    when a squared pivot of m's Cholesky factor is at most floor."""
+    if (cholesky_or_raise(m, f"the {name} on this set").diagonal() ** 2 <= floor).any():
+        raise IndefiniteKernelError(f"the {name} on this set has a non-pivot; increase the ridge")
+    return np.linalg.slogdet(m)[1]
 
 
 def _ridged_column(kernel, eps, j):
@@ -458,7 +463,7 @@ def _conditioned_column(kernel, eps, eta, w, j):
     return _ridged_column(kernel, eps, j) - eta**2 * (w.T @ w[:, j])
 
 
-def _synced_logs(state, kernels):
+def _synced_logs(state, kernels, remark):
     """log d of the residuals of each (column, diag, name) kernel, kept in
     state.aux and brought up to date with state.selected. At a non-pivot the
     first kernel's log is -inf and every other one 0, so its gain is -inf."""
@@ -469,12 +474,14 @@ def _synced_logs(state, kernels):
     if aux.get("synced") != len(state.selected):
         residuals = aux["residuals"]
         ds = [r.sync(state.selected) for r in residuals]
-        pivot = np.logical_and.reduce([d > r.floor for d, r in zip(ds, residuals)])
-        pivot[state.selected] = False
+        pivots = [d > r.floor for d, r in zip(ds, residuals)]  # one mask per kernel
+        for mask in pivots:
+            mask[state.selected] = False
+        pivot = np.logical_and.reduce(pivots)
         if not pivot.any():
             raise IndefiniteKernelError(
                 f"no candidate is a pivot: the kernel rank reached is {len(state.selected)}"
-                "; lower the budget or increase the ridge")
+                "; lower the budget or increase the ridge" + ("" if pivots[-1].any() else remark))
         aux["logs"] = [np.log(d, out=np.zeros(len(d)), where=pivot) for d in ds]
         aux["logs"][0][~pivot] = -np.inf
         aux["synced"] = len(state.selected)

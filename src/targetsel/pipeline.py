@@ -14,23 +14,10 @@ from dataclasses import asdict, dataclass, fields
 
 from . import __version__, harness
 from .datastore import load_features, load_probabilities
-from .errors import (
-    ConfigurationError,
-    DataFormatError,
-    DegenerateFeatureError,
-    DivergenceError,
-    EmptyInputError,
-    IndefiniteKernelError,
-    ShapeError,
-    SizeError,
-    check_field_types,
-)
+from .errors import (ConfigurationError, DataFormatError, EmptyInputError, ShapeError,
+                     TargetselError, check_field_types)
 from .kernel import METRICS, TRANSFORMS, KernelConfig
 from .objectives import KERNEL_REQUIREMENTS, check_parameters
-
-EXIT_INPUT = 2
-EXIT_CONFIG = 3
-EXIT_NUMERIC = 4
 
 
 @dataclass(frozen=True)
@@ -224,16 +211,12 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, ShapeError, SizeError, DegenerateFeatureError, OSError,
-            UnicodeDecodeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ConfigurationError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (IndefiniteKernelError, DivergenceError) as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    except (TargetselError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # errors from outside the toolkit exit as the toolkit error they amount to
+        error = exc if isinstance(exc, TargetselError) else (
+            ConfigurationError if isinstance(exc, json.JSONDecodeError) else DataFormatError)
+        print(f"{error.prefix}: {exc}", file=sys.stderr)
+        return error.exit_code
 
 
 if __name__ == "__main__":

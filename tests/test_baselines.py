@@ -149,3 +149,53 @@ class TestBadgeBlocks:
             sel = badge_select(emb, 20, seed).selected
             assert sel == badge_select_reference(emb, 20, seed)
             assert len(set(sel)) == 20
+
+
+def outer_pool(rng, n, classes=4, dims=6):
+    """A factored pool shaped like gradient embeddings: rows (p - e_y) (x) [x;1]."""
+    p = rng.dirichlet(np.ones(classes), size=n)
+    p[np.arange(n), rng.integers(classes, size=n)] -= 1.0
+    return p, np.hstack([rng.standard_normal((n, dims)), np.ones((n, 1))])
+
+
+class TestBadgeFactored:
+    """badge_select computes the distances of a factored pool from its factors;
+    the dense rows of the same pool, in the whole-matrix reference, must give
+    the same draws."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_dense_reference(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        r, x = outer_pool(rng, 150)
+        r *= 10.0 ** rng.uniform(-1.0, 1.0, size=(150, 1))  # row scales over two decades
+        emb = FeatureMatrix.outer(r, x)
+        assert badge_select(emb, 40, seed).selected == badge_select_reference(
+            FeatureMatrix(emb.values), 40, seed)
+
+    def test_copies_of_a_center_get_exactly_zero(self):
+        # 3 clusters of 40 exact copies: after one center per cluster every
+        # distance is 0 and the draws fall back to uniform, as on the dense path,
+        # where round-off left by the expansion would weight some copies
+        rng = np.random.default_rng(7)
+        r, x = outer_pool(rng, 3)
+        emb = FeatureMatrix.outer(np.repeat(r, 40, axis=0), np.repeat(x, 40, axis=0))
+        for seed in range(50):
+            sel = badge_select(emb, 10, seed).selected
+            assert sel == badge_select_reference(FeatureMatrix(emb.values), 10, seed), seed
+            assert {i // 40 for i in sel[:3]} == {0, 1, 2}
+
+    def test_identical_pool_falls_back_to_uniform(self):
+        r, x = outer_pool(np.random.default_rng(3), 1)
+        emb = FeatureMatrix.outer(np.repeat(r, 30, axis=0), np.repeat(x, 30, axis=0))
+        for seed in range(5):
+            sel = badge_select(emb, 12, seed).selected
+            assert sel == badge_select_reference(FeatureMatrix(emb.values), 12, seed)
+            assert len(set(sel)) == 12
+
+    def test_factored_pool_skips_the_dense_rows(self, monkeypatch):
+        def dense(*args):
+            raise AssertionError("a factored pool took the dense distance path")
+
+        monkeypatch.setattr("targetsel.baselines._squared_distances", dense)
+        emb = FeatureMatrix.outer(*outer_pool(np.random.default_rng(0), 50))
+        assert len(set(badge_select(emb, 10, 0).selected)) == 10

@@ -327,6 +327,42 @@ class TestPivotRule:
             assert np.all(np.isfinite(gains))
 
 
+class TestEvaluatePivotRule:
+    """evaluate factors the whole block under the greedy loops' pivot rule, so
+    at ridge 0 the sign of round-off no longer decides between a value and an
+    error: a set that holds both copies of a row raises on every seed."""
+
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
+    def test_duplicate_rows_at_ridge_zero(self, kind):
+        mi = kind == "logdetmi"
+        for seed in range(40):
+            uu, ut, tt = duplicate_row_kernels(seed)
+            spec = ObjectiveSpec(kind, s_uu=uu, s_ut=ut if mi else None,
+                                 s_tt=tt if mi else None, ridge=0.0)
+            for both_copies in ([0, 1, 3], [1, 0], [2, 3, 4], [5, 4, 0, 2]):
+                with pytest.raises(IndefiniteKernelError):
+                    evaluate(spec, both_copies)
+            want = eval_reference(kind, [0, 2, 3], uu=uu.values, ut=ut.values,
+                                  tt=tt.values, eps=0.0)
+            assert evaluate(spec, [0, 2, 3]) == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+    def test_target_row_copy_at_ridge_zero(self):
+        # a pool row that is also a target row has a conditioned residual of
+        # round-off, so no set holding it evaluates, on any seed
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((6, 8))
+            pool, target = FeatureMatrix(x), FeatureMatrix(np.vstack([x[2], rng.standard_normal(8)]))
+            cfg = KernelConfig()
+            spec = ObjectiveSpec("logdetmi", s_uu=build_kernel(pool, pool, cfg),
+                                 s_ut=build_kernel(pool, target, cfg),
+                                 s_tt=build_kernel(target, target, cfg), ridge=0.0)
+            for holding_it in ([2], [0, 2], [3, 2, 5]):
+                with pytest.raises(IndefiniteKernelError, match="conditioned kernel"):
+                    evaluate(spec, holding_it)
+            assert np.isfinite(evaluate(spec, [0, 3, 5]))
+
+
 class TestSpecValidation:
     def test_missing_kernel(self):
         with pytest.raises(ConfigurationError, match="requires"):

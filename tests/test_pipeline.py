@@ -183,6 +183,17 @@ class TestSelectCommand:
         assert proc.stderr.startswith("numerical error: ") and "rank reached is 2;" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_logdetmi_eta_above_one_names_eta(self, pool_file, target_file):
+        # eta^2 times each pool row's target term exceeds its diagonal at
+        # eta = 2, so no candidate is a pivot of the conditioned kernel
+        args = ["select", "--method", "logdetmi", "--budget", "2", "--unlabeled", pool_file,
+                "--target", target_file, "--eta"]
+        assert run_cli(args + ["1"]).returncode == 0
+        proc = run_cli(args + ["2"])
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("numerical error: no candidate is a pivot")
+        assert "eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite" in proc.stderr
+
     def test_logdet_selection_leaves_scipy_linalg_unloaded(self, tmp_path, pool_file,
                                                            target_file):
         # logdet reads everything from its Cholesky residuals, and logdetmi
