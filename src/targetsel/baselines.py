@@ -1,6 +1,7 @@
 """Non-submodular selection baselines: random, uncertainty sampling (entropy),
 targeted uncertainty sampling, and k-means++ seeding over gradient embeddings
-(BADGE, Ash et al., ICLR 2020).
+(BADGE, Ash et al., ICLR 2020), whose squared distances are expanded from the
+factors of the rows, as the kernels are: (r, x) of an outer product, or the rows.
 
 All baselines are deterministic given their inputs and seed, and report their
 output through the same SelectionResult container as the greedy optimizers.
@@ -65,33 +66,18 @@ def targeted_uncertainty_select(probs, s_ut, k):
     return _top_k(entropy_scores(probs) * s_ut.values.max(axis=1), k)
 
 
-BADGE_BLOCK = 64  # rows per squared-distance block: its temporaries stay in cache
-
-
-def _squared_distances(x, center, buf, out):
-    """((x - center) ** 2).sum(axis=1) into out, BADGE_BLOCK rows at a time
-    through buf; each row is still summed by one contiguous reduction."""
-    for start in range(0, len(x), BADGE_BLOCK):
-        rows = x[start:start + BADGE_BLOCK]
-        block = buf[:len(rows)]
-        np.subtract(rows, center, out=block)
-        np.square(block, out=block)
-        np.add.reduce(block, axis=1, out=out[start:start + len(rows)])
-    return out
-
-
-def _factored_distances(r, x):
-    """c -> squared distances of the rows r_i (x) x_i to row c:
-    |r_i|^2|x_i|^2 + |r_c|^2|x_c|^2 - 2(r_i.r_c)(x_i.x_c), clamped at 0. At copies of
-    row c, where the dense path gives exactly 0, the expansion leaves round-off,
-    so rows within round-off of 0 that equal row c in both factors get exactly 0."""
-    sq = np.einsum("ij,ij->i", r, r) * np.einsum("ij,ij->i", x, x)
+def _factored_distances(factors):
+    """c -> squared distances to row c, expanded from the factors (r, x) or (rows,) of the
+    rows: prod |f_i|^2 + prod |f_c|^2 - 2 prod f_i.f_c over the factors f, clamped at 0.
+    At copies of row c the expansion leaves round-off where the exact distance is 0,
+    so rows within round-off of 0 that equal row c in every factor get exactly 0."""
+    sq = np.multiply.reduce([np.einsum("ij,ij->i", f, f) for f in factors])
 
     def distances(c):
         scale = sq + sq[c]
-        out = np.maximum(scale - 2.0 * (r @ r[c]) * (x @ x[c]), 0.0)
+        out = np.maximum(scale - 2.0 * np.multiply.reduce([f @ f[c] for f in factors]), 0.0)
         near = np.flatnonzero(out <= 1e-12 * scale)
-        out[near[(r[near] == r[c]).all(axis=1) & (x[near] == x[c]).all(axis=1)]] = 0.0
+        out[near[np.logical_and.reduce([(f[near] == f[c]).all(axis=1) for f in factors])]] = 0.0
         return out
     return distances
 
@@ -102,19 +88,14 @@ def badge_select(embeddings, k, seed):
     The next center is drawn with probability proportional to squared distance
     to the nearest chosen center; if every distance is zero the draw falls back
     to uniform over the unchosen indices. Distances come from the outer-product
-    factors when the embeddings carry them, else from the dense rows.
+    factors when the embeddings carry them, else from the rows as their one factor.
     """
     n = embeddings.rows
     _check_budget(k, n)
     rng = np.random.default_rng(seed)
     if k == 0:
         return _drawn([], 0)
-    if embeddings.factors is not None:
-        distances = _factored_distances(*embeddings.factors)
-    else:
-        x = embeddings.values
-        buf = np.empty((min(n, BADGE_BLOCK), x.shape[1]))
-        distances = lambda c: _squared_distances(x, x[c], buf, np.empty(n))
+    distances = _factored_distances(embeddings.factors or (embeddings.values,))
     chosen = [int(rng.integers(n))]
     d2 = distances(chosen[0])
     while len(chosen) < k:

@@ -1,17 +1,17 @@
 """Dense similarity kernels between feature matrices.
 
+A kernel is built from the factors of each matrix's rows: an outer-product matrix (rows
+r_i (x) x_i, as gradient embeddings are) keeps (r, x), and as
+<r_i (x) x_i, r_j (x) x_j> = (r_i . r_j)(x_i . x_j) its Gram is the elementwise product of
+two narrow Grams, within a few ulps per entry of the flattened rows' product, not bitwise;
+any other matrix is its own single factor.
 Within-set kernels are square and exactly symmetric as numpy returns x @ x.T
 (a rank-k update with one triangle mirrored into the other); cross-set kernels
 are rectangular and transpose-consistent (build(a, b).T == build(b, a)).
-When both matrices carry outer-product factors (rows r_i (x) x_i, as gradient
-embeddings do), the kernel is built from the factors instead:
-<r_i (x) x_i, r_j (x) x_j> = (r_i . r_j)(x_i . x_j), so the Gram of the rows is
-the elementwise product of two narrow Grams. It agrees with the product of
-the flattened rows to a few ulps per entry, not bitwise.
 The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
 One entrywise epilogue (unit diagonal under cosine, then the transform) finishes each kernel in
-place, per panel from factors; SimilarityKernel checks finiteness and symmetry in one tile pass.
+place, per panel from two factors; SimilarityKernel checks finiteness and symmetry in one tile pass.
 """
 
 import os
@@ -109,17 +109,9 @@ def _check_norms(norms, which):
         )
 
 
-def _prepare_rows(x, metric, which):
-    x = np.asarray(x, dtype=np.float64)
-    if metric == "cosine":
-        norms = np.linalg.norm(x, axis=1)
-        _check_norms(norms, which)
-        return x / norms[:, None]
-    return x
-
-
 def _prepare_factors(factors, metric, which):
-    """Factors (r, x) of an outer-product matrix, each row-normalized under cosine.
+    """Factors of a matrix's rows, each row-normalized under cosine: (r, x) of an
+    outer-product matrix, or the rows themselves as the single factor.
 
     |r_i (x) x_i| = |r_i| |x_i|, so a row has zero norm exactly when one of its
     factor rows has.
@@ -127,32 +119,32 @@ def _prepare_factors(factors, metric, which):
     if metric != "cosine":
         return factors
     norms = [np.linalg.norm(f, axis=1) for f in factors]
-    _check_norms(np.minimum(*norms), which)
+    _check_norms(np.minimum.reduce(norms), which)
     return tuple(f / nf[:, None] for f, nf in zip(factors, norms))
 
 
-def _shared_factors(a, b):
-    """True when a and b both carry outer-product factors of the same widths."""
-    if a.factors is None or b.factors is None:
-        return False
-    return all(fa.shape[1] == fb.shape[1] for fa, fb in zip(a.factors, b.factors))
+def _product(fa, fb):
+    """(fa[0] @ fb[0].T) * (fa[1] @ fb[1].T) * ...: the Gram of the rows the factors span."""
+    g = fa[0] @ fb[0].T
+    for f, h in zip(fa[1:], fb[1:]):
+        g *= f @ h.T
+    return g
 
 
-def _factored_gram(r, x, cfg):
-    """(r @ r.T) * (x @ x.T), finished, in row panels of TILE rows: each diagonal
-    block is a product of two rank-k updates, which numpy returns exactly
+def _factored_gram(factors, cfg):
+    """The finished product of the factors with themselves, in row panels of TILE rows:
+    each diagonal block is a product of rank-k updates, which numpy returns exactly
     symmetric, and the panel right of it is mirrored below the diagonal."""
-    n = len(r)
+    n = len(factors[0])
     g = np.empty((n, n))
     for i in range(0, n, TILE):
         b, rest = slice(i, i + TILE), slice(i + TILE, n)
-        block = r[b] @ r[b].T
-        block *= x[b] @ x[b].T
-        g[b, b] = _epilogue(block, cfg, diagonal=True)
-        panel = r[b] @ r[rest].T
-        panel *= x[b] @ x[rest].T
-        g[b, rest] = _epilogue(panel, cfg)
-        g[rest, b] = panel.T
+        panel = [f[b] for f in factors]
+        g[b, b] = _epilogue(_product(panel, panel), cfg, diagonal=True)
+        right = _epilogue(_product(panel, [f[rest] for f in factors]), cfg)
+        g[b, rest] = right
+        g[rest, b] = right.T
+        del right  # freed before the next panel's product: the peak stays at two panels
     return g
 
 
@@ -175,9 +167,9 @@ def build_kernel(a, b, cfg=KernelConfig()):
     When a and b hold identical values the result is flagged symmetric, is
     exactly symmetric as the matrix product returns it, and (under cosine) gets
     an exact unit diagonal before the transform, all in place: the peak is one
-    n x n array (plus two TILE x n panels when it is built from factors).
-    The factored path runs exactly when both a and b carry factors of the
-    same widths; otherwise the rows' own product is used.
+    n x n array (plus two TILE x n panels when it is built from two factors).
+    Both matrices' outer-product factors are used exactly when a and b carry
+    factors of the same widths; otherwise each matrix's rows are its one factor.
     Cross kernels with r < c are computed as the transpose of the swapped
     problem so that build(a, b).T == build(b, a) holds entrywise.
     Raises SizeError, before allocating, when the 8·r·c bytes of the result
@@ -192,22 +184,18 @@ def build_kernel(a, b, cfg=KernelConfig()):
             f"{MEMORY_LIMIT} bytes of physical memory"
         )
     same = a is b or (a.rows == b.rows and np.array_equal(a.values, b.values))
-    factored = _shared_factors(a, b)
-    if factored:
-        ra, xa = _prepare_factors(a.factors, cfg.metric, "left")
-    else:
-        xa = _prepare_rows(a.values, cfg.metric, "left")
-    if same:
-        g = _factored_gram(ra, xa, cfg) if factored else _epilogue(xa @ xa.T, cfg, diagonal=True)
+    fa, fb = a.factors or (a.values,), b.factors or (b.values,)
+    if len(fa) != len(fb) or any(f.shape[1] != h.shape[1] for f, h in zip(fa, fb)):
+        fa, fb = (a.values,), (b.values,)
+    fa = _prepare_factors(fa, cfg.metric, "left")
+    if same and len(fa) == 1:
+        g = _epilogue(fa[0] @ fa[0].T, cfg, diagonal=True)
+    elif same:
+        g = _factored_gram(fa, cfg)
     elif a.rows < b.rows:
         return SimilarityKernel(build_kernel(b, a, cfg).values.T, symmetric=False)
-    elif factored:
-        rb, xb = _prepare_factors(b.factors, cfg.metric, "right")
-        g = ra @ rb.T
-        g *= xa @ xb.T
-        _epilogue(g, cfg)
     else:
-        g = _epilogue(xa @ _prepare_rows(b.values, cfg.metric, "right").T, cfg)
+        g = _epilogue(_product(fa, _prepare_factors(fb, cfg.metric, "right")), cfg)
     g.setflags(write=False)  # shared, not copied: see datastore.freeze
     return SimilarityKernel(g, symmetric=same)
 

@@ -318,7 +318,8 @@ class LogDetMI(_ResidualLogDet):
             self.w[:, indices].T @ self.w[:, indices])
         cond[np.diag_indices_from(cond)] += self.eps
         floor = PIVOT_TOL * self.kernels[0][1][indices]
-        return super()._evaluate(indices) - float(_logdet(cond, floor, "conditioned kernel"))
+        return super()._evaluate(indices) - float(
+            _logdet(cond, floor, "conditioned kernel", self.remark))
 
 
 class FacilityLocation(_RunningMax):
@@ -443,12 +444,16 @@ class CholeskyResiduals:
         return self.d
 
 
-def _logdet(m, floor, name):
-    """slogdet's log det m, under the greedy loops' pivot rule: IndefiniteKernelError
-    when a squared pivot of m's Cholesky factor is at most floor."""
-    if (cholesky_or_raise(m, f"the {name} on this set").diagonal() ** 2 <= floor).any():
-        raise IndefiniteKernelError(f"the {name} on this set has a non-pivot; increase the ridge")
-    return np.linalg.slogdet(m)[1]
+def _logdet(m, floor, name, remark=""):
+    """slogdet's log det m, under the greedy loops' pivot rule: IndefiniteKernelError, with
+    remark added, when m has no Cholesky factor or a squared pivot of it is at most floor."""
+    try:
+        if not (np.linalg.cholesky(m).diagonal() ** 2 <= floor).any():
+            return np.linalg.slogdet(m)[1]
+    except np.linalg.LinAlgError:
+        pass
+    raise IndefiniteKernelError(
+        f"the {name} on this set has a non-pivot; increase the ridge{remark}")
 
 
 def _ridged_column(kernel, eps, j):

@@ -5,8 +5,6 @@ from hypothesis import strategies as st
 
 from oracles import badge_select_reference
 from targetsel.baselines import (
-    BADGE_BLOCK,
-    _squared_distances,
     badge_select,
     entropy_scores,
     random_select,
@@ -124,22 +122,27 @@ class TestBadgeSelect:
 
 
 class TestBadgeBlocks:
-    """badge_select computes squared distances BADGE_BLOCK rows at a time; the
-    whole-matrix expression and the loop it replaced are the references."""
-
-    @pytest.mark.parametrize("n", [1, BADGE_BLOCK - 1, BADGE_BLOCK, BADGE_BLOCK + 1, 130])
-    def test_distances_bitwise(self, n):
-        x = np.random.default_rng(n).standard_normal((n, 650))
-        buf = np.empty((min(n, BADGE_BLOCK), 650))
-        for c in {0, n // 2, n - 1}:
-            got = _squared_distances(x, x[c], buf, np.empty(n))
-            assert np.array_equal(got, ((x - x[c]) ** 2).sum(axis=1))
+    """badge_select on plain rows, which are their own single factor: the draws
+    must equal the whole-matrix reference's."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_selections_match_reference(self, seed):
         rng = np.random.default_rng(100 + seed)
         emb = FeatureMatrix(rng.standard_normal((200, 40)) * rng.uniform(0.1, 3.0, size=(200, 1)))
         assert badge_select(emb, 50, seed).selected == badge_select_reference(emb, 50, seed)
+
+    def test_copies_of_a_center_get_exactly_zero(self):
+        # 3 clusters of 40 exact copies, at scales three decades apart: after one
+        # center per cluster every distance is 0 and the draws fall back to
+        # uniform, as in the reference, where round-off left by the expansion
+        # would weight some copies
+        rng = np.random.default_rng(7)
+        rows = rng.standard_normal((3, 40)) * np.array([[1e-3], [1.0], [1e3]])
+        emb = FeatureMatrix(np.repeat(rows, 40, axis=0))
+        for seed in range(50):
+            sel = badge_select(emb, 10, seed).selected
+            assert sel == badge_select_reference(emb, 10, seed), seed
+            assert {i // 40 for i in sel[:3]} == {0, 1, 2}
 
     def test_zero_distance_fallback_across_blocks(self):
         # 130 identical rows: every distance is zero, so every draw after the
@@ -191,11 +194,3 @@ class TestBadgeFactored:
             sel = badge_select(emb, 12, seed).selected
             assert sel == badge_select_reference(FeatureMatrix(emb.values), 12, seed)
             assert len(set(sel)) == 12
-
-    def test_factored_pool_skips_the_dense_rows(self, monkeypatch):
-        def dense(*args):
-            raise AssertionError("a factored pool took the dense distance path")
-
-        monkeypatch.setattr("targetsel.baselines._squared_distances", dense)
-        emb = FeatureMatrix.outer(*outer_pool(np.random.default_rng(0), 50))
-        assert len(set(badge_select(emb, 10, 0).selected)) == 10

@@ -145,7 +145,7 @@ class TestAgainstFullArrayFormula:
 @pytest.mark.parametrize("d", (1, 65, 650))
 def test_within_set_product_is_exactly_symmetric(metric, n, d):
     a = FeatureMatrix(np.random.default_rng(1000 * n + d).standard_normal((n, d)))
-    xa = kernel._prepare_rows(a.values, metric, "left")
+    xa, = kernel._prepare_factors((a.values,), metric, "left")
     g = xa @ xa.T
     assert g.tobytes() == g.T.tobytes()
 

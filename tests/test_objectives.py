@@ -346,6 +346,20 @@ class TestEvaluatePivotRule:
                                   tt=tt.values, eps=0.0)
             assert evaluate(spec, [0, 2, 3]) == pytest.approx(want, rel=1e-8, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
+    def test_singular_set_has_one_message(self, kind):
+        # the pivot of the second copy is round-off of either sign: a tiny
+        # positive one and a failed Cholesky must read the same
+        mi = kind == "logdetmi"
+        for seed in range(8):
+            uu, ut, tt = duplicate_row_kernels(seed)
+            spec = ObjectiveSpec(kind, s_uu=uu, s_ut=ut if mi else None,
+                                 s_tt=tt if mi else None, ridge=0.0)
+            with pytest.raises(IndefiniteKernelError) as err:
+                evaluate(spec, [0, 1, 3])
+            assert str(err.value) == (
+                "the pool kernel on this set has a non-pivot; increase the ridge")
+
     def test_target_row_copy_at_ridge_zero(self):
         # a pool row that is also a target row has a conditioned residual of
         # round-off, so no set holding it evaluates, on any seed

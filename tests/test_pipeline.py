@@ -10,7 +10,8 @@ import targetsel
 from targetsel import harness, kernel
 from targetsel.datastore import load_features, load_probabilities
 from targetsel.harness import ExperimentConfig, config_from_dict
-from targetsel.errors import ConfigurationError
+from targetsel.errors import ConfigurationError, IndefiniteKernelError
+from targetsel.objectives import ObjectiveSpec, evaluate
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 
 
@@ -193,6 +194,18 @@ class TestSelectCommand:
         assert proc.returncode == 4
         assert proc.stderr.startswith("numerical error: no candidate is a pivot")
         assert "eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite" in proc.stderr
+
+    def test_logdetmi_evaluate_at_eta_above_one_names_eta(self, pool_file, target_file):
+        pool, target = load_features(pool_file), load_features(target_file)
+        cfg = kernel.KernelConfig()
+        spec = ObjectiveSpec("logdetmi", s_uu=kernel.build_kernel(pool, pool, cfg),
+                             s_ut=kernel.build_kernel(pool, target, cfg),
+                             s_tt=kernel.build_kernel(target, target, cfg), eta=2.0)
+        with pytest.raises(IndefiniteKernelError) as err:
+            evaluate(spec, [0])
+        assert str(err.value) == (
+            "the conditioned kernel on this set has a non-pivot; increase the ridge"
+            "; eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite")
 
     def test_logdet_selection_leaves_scipy_linalg_unloaded(self, tmp_path, pool_file,
                                                            target_file):
