@@ -82,6 +82,8 @@ class ProbabilityMatrix:
         v = freeze(self.values)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise DataFormatError("probability matrix must be 2-D and nonempty")
+        if not np.all(np.isfinite(v)):
+            raise DataFormatError("probability matrix contains non-finite entries")
         if np.any(v < 0) or np.any(v > 1):
             bad = np.argwhere((v < 0) | (v > 1))[0]
             raise DataFormatError(

@@ -55,8 +55,8 @@ class ExperimentConfig:
             raise ConfigurationError(f"{', '.join(finite)} must be finite")
         if self.num_classes < 2:
             raise ConfigurationError("need at least two classes")
-        if self.feature_dim < self.num_classes:
-            raise ConfigurationError("feature_dim must be at least num_classes")
+        if self.feature_dim < 2 * ((self.num_classes + 1) // 2):  # see _class_means
+            raise ConfigurationError("feature_dim must be at least num_classes rounded up to even")
         train = (self.rare_train_count, self.common_train_count)
         if min(train) < 0 or sum(train) < 1 or min(self.target_set_size, self.test_per_class) < 1:
             raise ConfigurationError("every split needs a positive size; train counts nonnegative")

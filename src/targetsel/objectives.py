@@ -2,17 +2,17 @@
 
 Covers the mutual-information objectives over a pool/target kernel pair
 (gcmi, fl1mi, fl2mi, logdetmi, gcmi_div) and the plain pool-only functions
-(fl, gc, logdet, dsum). Every objective supports evaluation from scratch and
-an incremental state (running max vectors, relevance sums, Cholesky
-residuals) so greedy selection pays far less than a full re-evaluation per
-candidate.
+(fl, gc, logdet, dsum). Every objective supports evaluation from scratch, and
+each instance grows one selection with incremental caches (running max
+vectors, relevance sums, Cholesky residuals) so greedy selection pays far
+less than a full re-evaluation per candidate.
 
 Conventions: the empty set evaluates to 0 for every kind; max over an empty
 index set is 0; the empty determinant is 1.
 """
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -92,33 +92,28 @@ class ObjectiveSpec:
                 raise ConfigurationError("target and cross kernels disagree on target size")
 
 
-@dataclass
-class ObjectiveState:
-    """Selected indices plus the per-kind incremental caches."""
-
-    selected: list = field(default_factory=list)
-    value: float = 0.0
-    aux: dict = field(default_factory=dict)
-
-
 class Objective:
-    """Base: from-scratch evaluation plus incremental gain/commit.
+    """Base: from-scratch evaluation plus the incremental gains of one selection.
 
-    Each kind writes its marginal gain once, as `_gain(state, idx)`,
-    elementwise in idx: an int gives one gain, a slice the gain of each index
-    in it, so `gain` and `gains` run the same arithmetic. A gain of -inf marks
-    a candidate that cannot be added, such as a non-pivot of a log-det kind.
+    An instance grows one selection, `selected` with its `value`, by `commit`.
+    Each kind writes its marginal gain once, as `gains_at(idx)`, elementwise
+    in idx: an int gives one gain, a slice or an array of unselected indices
+    the gain of each index in it, so `gain`, `gains` and lazy greedy's
+    re-scores run the same arithmetic. A gain of -inf marks a candidate that
+    cannot be added, such as a non-pivot of a log-det kind.
     """
 
     lazy_safe = True
     # False where stale bounds save lazy greedy nothing: every gain moves with
     # each commit, or none ever does, so naive greedy's one pass per step wins
     lazy_pays = True
-    chunk = sys.maxsize  # candidates per _gain call in gains
+    chunk = sys.maxsize  # candidates per gains_at call in gains
 
     def __init__(self, spec):
         self.spec = spec
         self.n = (spec.s_uu if spec.s_uu is not None else spec.s_ut).shape[0]
+        self.selected = []
+        self.value = 0.0
 
     def evaluate(self, indices):
         indices = list(indices)
@@ -130,75 +125,64 @@ class Objective:
             return 0.0
         return self._evaluate(indices)
 
-    def new_state(self):
-        return ObjectiveState()
+    def gain(self, a):
+        self._check_candidate(a)
+        return float(self.gains_at(a))
 
-    def gain(self, state, a):
-        self._check_candidate(state, a)
-        return float(self._gain(state, a))
-
-    def gains(self, state):
+    def gains(self):
         """Marginal gain of every candidate at once; -inf at selected indices."""
         out = np.empty(self.n)
         for start in range(0, self.n, self.chunk):
             rows = slice(start, start + self.chunk)
-            out[rows] = self._gain(state, rows)
-        out[state.selected] = -np.inf
+            out[rows] = self.gains_at(rows)
+        out[self.selected] = -np.inf
         return out
 
-    def gains_at(self, state, idx):
-        """Marginal gains of the unselected candidates in the index array idx,
-        from one _gain call."""
-        return self._gain(state, idx)
+    def commit(self, a):
+        self._check_candidate(a)
+        g = float(self.gains_at(a))
+        self._commit(a)
+        self.selected.append(a)
+        self.value += g
 
-    def commit(self, state, a):
-        self._check_candidate(state, a)
-        g = float(self._gain(state, a))
-        self._commit(state, a)
-        state.selected.append(a)
-        state.value += g
-        return state
-
-    def _commit(self, state, a):
+    def _commit(self, a):
         pass
 
     def _check_bounds(self, a):
         if not 0 <= a < self.n:
             raise IndexError(f"index {a} outside ground set of size {self.n}")
 
-    def _check_candidate(self, state, a):
+    def _check_candidate(self, a):
         self._check_bounds(a)
-        if a in state.selected:
+        if a in self.selected:
             raise ValueError(f"index {a} already selected")
 
 
 class _RunningMax(Objective):
-    """Keeps aux["cur"], the elementwise max of self.rows over the selected set."""
+    """Keeps cur, the elementwise max of self.rows over the selected set."""
 
-    chunk = 256  # bounds each _gain call's temporaries to 256 rows
+    chunk = 256  # bounds each gains_at call's temporaries to 256 rows
 
-    def _cover(self, state, idx):
+    def _cover(self, idx):
         """The running max with row(s) idx folded in."""
-        if not state.selected:
+        if not self.selected:
             return self.rows[idx]
-        return np.maximum(state.aux["cur"], self.rows[idx])
+        return np.maximum(self.cur, self.rows[idx])
 
-    def _commit(self, state, a):
-        state.aux["cur"] = self._cover(state, a)
+    def _commit(self, a):
+        self.cur = self._cover(a)
 
 
 class _RunningSum(Objective):
-    """Keeps aux["sel_sim"], the sum of pool-kernel rows over the selected set."""
+    """Keeps sel_sim, the sum of pool-kernel rows over the selected set."""
 
     def __init__(self, spec):
         super().__init__(spec)
         self.uu = spec.s_uu.values
+        self.sel_sim = np.zeros(self.n)
 
-    def new_state(self):
-        return ObjectiveState(aux={"sel_sim": np.zeros(self.n)})
-
-    def _commit(self, state, a):
-        state.aux["sel_sim"] += self.uu[a]
+    def _commit(self, a):
+        self.sel_sim += self.uu[a]
 
 
 class GraphCutMI(Objective):
@@ -213,7 +197,7 @@ class GraphCutMI(Objective):
     def _evaluate(self, indices):
         return float(self.row2[indices].sum())
 
-    def _gain(self, state, idx):
+    def gains_at(self, idx):
         return self.row2[idx]
 
 
@@ -229,8 +213,8 @@ class FacilityLocationMI1(_RunningMax):
         cur = self.rows[indices].max(axis=0)
         return float(np.minimum(cur, self.q).sum())
 
-    def _gain(self, state, idx):
-        return np.minimum(self._cover(state, idx), self.q).sum(axis=-1) - state.value
+    def gains_at(self, idx):
+        return np.minimum(self._cover(idx), self.q).sum(axis=-1) - self.value
 
 
 class FacilityLocationMI2(_RunningMax):
@@ -245,22 +229,22 @@ class FacilityLocationMI2(_RunningMax):
         cover = self.rows[indices, :].max(axis=0).sum()
         return float(cover + self.spec.eta * self.rowmax[indices].sum())
 
-    def _gain(self, state, idx):
+    def gains_at(self, idx):
         rel = self.spec.eta * self.rowmax[idx]
-        base = state.aux["cur"].sum() if state.selected else 0.0
-        return self._cover(state, idx).sum(axis=-1) - base + rel
+        base = self.cur.sum() if self.selected else 0.0
+        return self._cover(idx).sum(axis=-1) - base + rel
 
 
 class _ResidualLogDet(Objective):
-    """Gains of the log-det kinds, read from CholeskyResiduals in state.aux.
+    """Gains of the log-det kinds, read from one CholeskyResiduals per kernel.
 
-    `kernels` holds one (column, diag, name) triple per kernel: the ridged
-    pool kernel's first, then any that a subclass appends. The gain of a is
-    log d[a] for the first kernel minus log d[a] for each later one. A commit
-    keeps no factor: the next sync folds it in. A candidate that is not a
-    pivot (d <= PIVOT_TOL times the first kernel's diagonal, in any kernel)
-    has gain -inf, and once no unselected candidate is a pivot every gain
-    raises IndefiniteKernelError, with `remark` added when the last kernel has no pivot left.
+    `residuals` holds the ridged pool kernel's first, then any that a subclass
+    appends. The gain of a is log d[a] for the first kernel minus log d[a] for
+    each later one. A commit keeps no factor: the next sync folds it in. A
+    candidate that is not a pivot (d <= PIVOT_TOL times the pool kernel's
+    diagonal, in any kernel) has gain -inf, and once no unselected candidate
+    is a pivot every gain raises IndefiniteKernelError, with `remark` added
+    when the last kernel has no pivot left.
     """
 
     remark = ""
@@ -269,21 +253,43 @@ class _ResidualLogDet(Objective):
         super().__init__(spec)
         self.uu = spec.s_uu.values
         self.eps = spec.ridge
+        diag = self.uu.diagonal() + self.eps
         # partials over arrays, not bound methods: a reference back to self
         # would keep every kernel alive until the cyclic garbage collector ran
-        self.kernels = ((partial(_ridged_column, self.uu, self.eps),
-                         self.uu.diagonal() + self.eps, "pool kernel"),)
+        self.residuals = [CholeskyResiduals(partial(_ridged_column, self.uu, self.eps), diag,
+                                            "pool kernel", PIVOT_TOL * diag)]
+        self.synced = None  # the selection size that self.logs reflects
 
     def _evaluate(self, indices):
         s_a = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
         return float(_logdet(s_a, PIVOT_TOL * s_a.diagonal(), "pool kernel"))
 
-    def _gain(self, state, idx):
-        logs = _synced_logs(state, self.kernels, self.remark)
+    def gains_at(self, idx):
+        logs = self._synced_logs()
         out = logs[0][idx]
         for log_d in logs[1:]:
             out = out - log_d[idx]
         return out
+
+    def _synced_logs(self):
+        """log d of each kernel's residuals, brought up to date with
+        self.selected. At a non-pivot the first kernel's log is -inf and every
+        other one 0, so its gain is -inf."""
+        if self.synced != len(self.selected):
+            ds = [r.sync(self.selected) for r in self.residuals]
+            pivots = [d > r.floor for d, r in zip(ds, self.residuals)]  # one mask per kernel
+            for mask in pivots:
+                mask[self.selected] = False
+            pivot = np.logical_and.reduce(pivots)
+            if not pivot.any():
+                raise IndefiniteKernelError(
+                    f"no candidate is a pivot: the kernel rank reached is {len(self.selected)}"
+                    "; lower the budget or increase the ridge"
+                    + ("" if pivots[-1].any() else self.remark))
+            self.logs = [np.log(d, out=np.zeros(len(d)), where=pivot) for d in ds]
+            self.logs[0][~pivot] = -np.inf
+            self.synced = len(self.selected)
+        return self.logs
 
 
 class LogDetMI(_ResidualLogDet):
@@ -307,9 +313,10 @@ class LogDetMI(_ResidualLogDet):
         self.w = np.empty(b.shape)
         for i in range(len(b)):
             self.w[i] = (b[i] - l_q[i, :i] @ self.w[:i]) / l_q[i, i]
-        self.kernels += ((partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
-                          self.kernels[0][1] - spec.eta**2 * (self.w**2).sum(axis=0),
-                          "conditioned kernel"),)
+        pool = self.residuals[0]
+        self.residuals.append(CholeskyResiduals(
+            partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
+            pool.diag - spec.eta**2 * (self.w**2).sum(axis=0), "conditioned kernel", pool.floor))
         if spec.eta > 1:
             self.remark = "; eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite"
 
@@ -317,9 +324,8 @@ class LogDetMI(_ResidualLogDet):
         cond = self.uu[np.ix_(indices, indices)] - self.spec.eta**2 * (
             self.w[:, indices].T @ self.w[:, indices])
         cond[np.diag_indices_from(cond)] += self.eps
-        floor = PIVOT_TOL * self.kernels[0][1][indices]
         return super()._evaluate(indices) - float(
-            _logdet(cond, floor, "conditioned kernel", self.remark))
+            _logdet(cond, self.residuals[0].floor[indices], "conditioned kernel", self.remark))
 
 
 class FacilityLocation(_RunningMax):
@@ -332,8 +338,8 @@ class FacilityLocation(_RunningMax):
     def _evaluate(self, indices):
         return float(self.rows[indices].max(axis=0).sum())
 
-    def _gain(self, state, idx):
-        return self._cover(state, idx).sum(axis=-1) - state.value
+    def gains_at(self, idx):
+        return self._cover(idx).sum(axis=-1) - self.value
 
 
 class GraphCut(_RunningSum):
@@ -352,9 +358,8 @@ class GraphCut(_RunningSum):
             self.colsum[idx].sum() - self.spec.lambda_gc * self.uu[np.ix_(idx, idx)].sum()
         )
 
-    def _gain(self, state, idx):
-        sel_sim = state.aux["sel_sim"][idx]
-        return self.colsum[idx] - self.spec.lambda_gc * (2.0 * sel_sim + self.diag[idx])
+    def gains_at(self, idx):
+        return self.colsum[idx] - self.spec.lambda_gc * (2.0 * self.sel_sim[idx] + self.diag[idx])
 
 
 class LogDet(_ResidualLogDet):
@@ -373,8 +378,8 @@ class DisparitySum(_RunningSum):
         k = len(idx)
         return float(k * (k - 1) / 2.0 - np.triu(self.uu[np.ix_(idx, idx)], 1).sum())
 
-    def _gain(self, state, idx):
-        return len(state.selected) - state.aux["sel_sim"][idx]
+    def gains_at(self, idx):
+        return len(self.selected) - self.sel_sim[idx]
 
 
 class GraphCutMIDiversity(DisparitySum):
@@ -391,8 +396,8 @@ class GraphCutMIDiversity(DisparitySum):
     def _evaluate(self, indices):
         return float(self.row2[indices].sum() + self.spec.gamma * super()._evaluate(indices))
 
-    def _gain(self, state, idx):
-        return self.row2[idx] + self.spec.gamma * super()._gain(state, idx)
+    def gains_at(self, idx):
+        return self.row2[idx] + self.spec.gamma * super().gains_at(idx)
 
 
 class CholeskyResiduals:
@@ -466,31 +471,6 @@ def _ridged_column(kernel, eps, j):
 def _conditioned_column(kernel, eps, eta, w, j):
     """Column j of kernel - eta^2 W^T W + eps I, as a new array."""
     return _ridged_column(kernel, eps, j) - eta**2 * (w.T @ w[:, j])
-
-
-def _synced_logs(state, kernels, remark):
-    """log d of the residuals of each (column, diag, name) kernel, kept in
-    state.aux and brought up to date with state.selected. At a non-pivot the
-    first kernel's log is -inf and every other one 0, so its gain is -inf."""
-    aux = state.aux
-    if "residuals" not in aux:
-        floor = PIVOT_TOL * kernels[0][1]
-        aux["residuals"] = [CholeskyResiduals(*k, floor) for k in kernels]
-    if aux.get("synced") != len(state.selected):
-        residuals = aux["residuals"]
-        ds = [r.sync(state.selected) for r in residuals]
-        pivots = [d > r.floor for d, r in zip(ds, residuals)]  # one mask per kernel
-        for mask in pivots:
-            mask[state.selected] = False
-        pivot = np.logical_and.reduce(pivots)
-        if not pivot.any():
-            raise IndefiniteKernelError(
-                f"no candidate is a pivot: the kernel rank reached is {len(state.selected)}"
-                "; lower the budget or increase the ridge" + ("" if pivots[-1].any() else remark))
-        aux["logs"] = [np.log(d, out=np.zeros(len(d)), where=pivot) for d in ds]
-        aux["logs"][0][~pivot] = -np.inf
-        aux["synced"] = len(state.selected)
-    return aux["logs"]
 
 
 _CLASSES = {

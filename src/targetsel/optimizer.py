@@ -31,16 +31,15 @@ class SelectionResult:
 
 
 def _naive_greedy(obj, k):
-    state = obj.new_state()
     gains = []
     evals = 0
     for _ in range(k):
-        step_gains = obj.gains(state)
-        evals += obj.n - len(state.selected)
+        step_gains = obj.gains()
+        evals += obj.n - len(obj.selected)
         winner = int(np.flatnonzero(step_gains >= step_gains.max() - TIE_TOL)[0])
         gains.append(float(step_gains[winner]))
-        obj.commit(state, winner)
-    return state, gains, evals
+        obj.commit(winner)
+    return gains, evals
 
 
 def _stale_block(bound, stale):
@@ -54,9 +53,8 @@ def _stale_block(bound, stale):
 
 
 def _lazy_greedy(obj, k):
-    state = obj.new_state()
     gains = []
-    bound = obj.gains(state)  # -inf once selected
+    bound = obj.gains()  # -inf once selected
     stale = np.zeros(obj.n, dtype=bool)
     evals = obj.n
     for _ in range(k):
@@ -64,21 +62,21 @@ def _lazy_greedy(obj, k):
         # when every bound is -inf argmax may land on a selected index: re-score the stale ones
         while stale[top] or bound[top] == -np.inf and stale.any():
             block = _stale_block(bound, stale)
-            bound[block], stale[block] = obj.gains_at(state, block), False
+            bound[block], stale[block] = obj.gains_at(block), False
             evals += len(block)
             top = int(np.argmax(bound))
         floor = bound[top] - TIE_TOL  # stale bounds of lower index this close may still win
         near = np.flatnonzero(stale[:top] & (bound[:top] >= floor))
         if len(near):
-            bound[near], stale[near] = obj.gains_at(state, near), False
+            bound[near], stale[near] = obj.gains_at(near), False
             evals += len(near)
         winner = int(np.flatnonzero(bound[:top + 1] >= floor)[0])
         gains.append(float(bound[winner]))
-        obj.commit(state, winner)
+        obj.commit(winner)
         bound[winner] = -np.inf
         stale[:] = True
-        stale[state.selected] = False
-    return state, gains, evals
+        stale[obj.selected] = False
+    return gains, evals
 
 
 def greedy_maximize(spec, budget):
@@ -95,11 +93,11 @@ def greedy_maximize(spec, budget):
     obj = build_objective(spec)
     k = min(budget, obj.n)
     loop = _lazy_greedy if obj.lazy_safe and obj.lazy_pays and k > 0 else _naive_greedy
-    state, gains, evals = loop(obj, k)
+    gains, evals = loop(obj, k)
     return SelectionResult(
-        selected=list(state.selected),
+        selected=obj.selected,
         gains=gains,
-        total_value=state.value,
+        total_value=obj.value,
         evaluations=evals,
         truncated=budget > obj.n,
     )

@@ -32,7 +32,7 @@ from targetsel.datastore import FeatureMatrix
 from targetsel.errors import DivergenceError, IndefiniteKernelError, SizeError
 from targetsel.harness import ToyModel, _softmax, _with_bias
 from targetsel.kernel import TILE, KernelConfig, build_kernel, cholesky_or_raise
-from targetsel.objectives import PIVOT_TOL, ObjectiveState, build_objective
+from targetsel.objectives import PIVOT_TOL, build_objective
 from targetsel.optimizer import TIE_TOL, SelectionResult
 
 MAX_EXHAUSTIVE_SUBSETS = 10**6
@@ -225,15 +225,15 @@ class SolveLogDet:
     gains read Cholesky residuals, kept as the reference for that path.
 
     Per kernel (the ridged pool kernel and, for logdetmi, the ridged
-    conditioned kernel) the state holds a lower Cholesky factor L of the
-    selected block, and the gain of a comes from the Schur residual
+    conditioned kernel) it holds a lower Cholesky factor L of the selected
+    block, and the gain of a comes from the Schur residual
     d = K_aa - |L^-1 K[A, a]|^2 as log d_1 - log d_2 (log d_1 alone for
     logdet). A candidate with d <= PIVOT_TOL times its ridged pool-kernel
     diagonal, in either kernel, is not a pivot: its gain is -inf, and
     committing it raises IndefiniteKernelError. A commit extends the pool
     factor by one row and refactorizes the conditioned factor. Offers the
-    `n`, `new_state`, `gains`, `gains_at` and `commit` that the greedy loops
-    use; the batched two are loops over the scalar `gain`.
+    `n`, `selected`, `value`, `gains`, `gains_at` and `commit` that the greedy
+    loops use; the batched two are loops over the scalar `gain`.
     """
 
     def __init__(self, spec):
@@ -256,40 +256,39 @@ class SolveLogDet:
 
             self.kernels.append((lambda sel, a: cond_block(sel, [a])[:, 0],
                                  self.kernels[0][1] - e2 * (w**2).sum(axis=0), cond_matrix))
+        self.selected, self.value = [], 0.0
+        self.factors = [None] * len(self.kernels)
 
-    def new_state(self):
-        return ObjectiveState(aux={"factors": [None] * len(self.kernels)})
-
-    def _schur(self, state, i, a):
+    def _schur(self, i, a):
         column, diag, _ = self.kernels[i]
-        factor = state.aux["factors"][i]
+        factor = self.factors[i]
         if factor is None:
             return diag[a], None
-        w = solve_triangular(factor, column(state.selected, a), lower=True)
+        w = solve_triangular(factor, column(self.selected, a), lower=True)
         return diag[a] - float(w @ w), w
 
-    def gain(self, state, a):
-        d = [self._schur(state, i, a)[0] for i in range(len(self.kernels))]
+    def gain(self, a):
+        d = [self._schur(i, a)[0] for i in range(len(self.kernels))]
         if min(d) <= PIVOT_TOL * self.kernels[0][1][a]:
             return -np.inf
         return float(np.log(d[0]) - sum(np.log(x) for x in d[1:]))
 
-    def gains_at(self, state, idx):
-        return np.array([self.gain(state, int(a)) for a in idx])
+    def gains_at(self, idx):
+        return np.array([self.gain(int(a)) for a in idx])
 
-    def gains(self, state):
+    def gains(self):
         out = np.full(self.n, -np.inf)
-        rest = [a for a in range(self.n) if a not in state.selected]
-        out[rest] = self.gains_at(state, rest)
+        rest = [a for a in range(self.n) if a not in self.selected]
+        out[rest] = self.gains_at(rest)
         return out
 
-    def commit(self, state, a):
-        g = self.gain(state, a)
+    def commit(self, a):
+        g = self.gain(a)
         if g == -np.inf:
             raise IndefiniteKernelError(f"index {a} is not a pivot")
-        idx = state.selected + [a]
-        factors = state.aux["factors"]
-        d, w = self._schur(state, 0, a)
+        idx = self.selected + [a]
+        factors = self.factors
+        d, w = self._schur(0, a)
         if factors[0] is None:
             factors[0] = np.array([[np.sqrt(d)]])
         else:
@@ -299,9 +298,8 @@ class SolveLogDet:
             factors[0] = grown
         for i in range(1, len(self.kernels)):
             factors[i] = cholesky_or_raise(self.kernels[i][2](idx), "conditioned kernel")
-        state.selected.append(a)
-        state.value += g
-        return state
+        self.selected.append(a)
+        self.value += g
 
 
 def det_exact(m):
@@ -336,8 +334,8 @@ class ExactLogDet:
     ridged pool-kernel diagonal, in either kernel, is not a pivot: its gain is
     -inf, and committing it raises IndefiniteKernelError. Otherwise the gain is
     math.log of r_1 (logdet) or of r_1 / r_2 (logdetmi), rounded once. Offers
-    the `n`, `new_state`, `gain` and `commit` of a scalar greedy loop; usable
-    at tiny sizes only (n <= 8).
+    the `n`, `selected`, `value`, `gain` and `commit` of a scalar greedy loop;
+    usable at tiny sizes only (n <= 8).
     """
 
     def __init__(self, spec):
@@ -353,31 +351,29 @@ class ExactLogDet:
             self.kernels.append([[x - e2 * sum(col[a] * col[b] for col in w)
                                   for b, x in enumerate(row)] for a, row in enumerate(pool)])
         self.floor = [Fraction(PIVOT_TOL) * pool[a][a] for a in range(self.n)]
-
-    def new_state(self):
+        self.selected, self.value = [], 0.0
         # the determinant of each kernel's selected block, 1 for the empty block
-        return ObjectiveState(aux={"dets": [Fraction(1)] * len(self.kernels)})
+        self.dets = [Fraction(1)] * len(self.kernels)
 
-    def residuals(self, state, a):
+    def residuals(self, a):
         """Per kernel, det K[A+a] and the exact Schur residual det K[A+a] / det K[A]."""
-        idx = state.selected + [a]
+        idx = self.selected + [a]
         dets = [det_exact([[k[r][c] for c in idx] for r in idx]) for k in self.kernels]
-        return dets, [d / base for d, base in zip(dets, state.aux["dets"])]
+        return dets, [d / base for d, base in zip(dets, self.dets)]
 
-    def gain(self, state, a):
-        ratios = self.residuals(state, a)[1]
+    def gain(self, a):
+        ratios = self.residuals(a)[1]
         if min(ratios) <= self.floor[a]:
             return -math.inf
         return math.log(ratios[0] / math.prod(ratios[1:]))
 
-    def commit(self, state, a):
-        g = self.gain(state, a)
+    def commit(self, a):
+        g = self.gain(a)
         if g == -math.inf:
             raise IndefiniteKernelError(f"index {a} is not a pivot")
-        state.aux["dets"] = self.residuals(state, a)[0]
-        state.selected.append(a)
-        state.value += g
-        return state
+        self.dets = self.residuals(a)[0]
+        self.selected.append(a)
+        self.value += g
 
 
 def exhaustive_maximize(spec, k):

@@ -200,6 +200,13 @@ def test_probability_matrix_validates_rows():
         ProbabilityMatrix(np.array([[0.7, 0.7]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_probability_matrix_rejects_non_finite(bad):
+    # NaN fails both range comparisons and the row-sum test, so it needs its own check
+    with pytest.raises(DataFormatError, match="non-finite"):
+        ProbabilityMatrix(np.array([[bad, 0.5], [0.5, 0.5]]))
+
+
 class TestOuterProducts:
     def test_values_are_row_wise_outer_products(self):
         rng = np.random.default_rng(0)

@@ -257,6 +257,13 @@ class TestConfigFromDict:
         with pytest.raises(ConfigurationError, match="ridge"):
             config_from_dict({"ridge": -1.0})
 
+    def test_odd_classes_need_an_even_feature_dim(self):
+        # class means fill columns up to 2 * ((num_classes + 1) // 2) - 1
+        with pytest.raises(ConfigurationError, match="feature_dim"):
+            config_from_dict({"num_classes": 3, "feature_dim": 3})
+        data = synthetic_generate(config_from_dict({"num_classes": 3, "feature_dim": 4}), 0)
+        assert data.lake.x.shape == (2000, 4)
+
     def test_invalid_target_budget_relation(self):
         with pytest.raises(ConfigurationError):
             ExperimentConfig(budget=5, target_set_size=5)

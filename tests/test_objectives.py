@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import zlib
 
 import numpy as np
@@ -126,62 +127,71 @@ class TestMarginalGainExamples:
     def test_gcmi_from_empty(self):
         s = spec_for("gcmi")
         obj = build_objective(s)
-        assert obj.gain(obj.new_state(), 1) == pytest.approx(1.0)
+        assert obj.gain(1) == pytest.approx(1.0)
 
     def test_fl2mi_incremental(self):
         s = spec_for("fl2mi")
         obj = build_objective(s)
-        state = obj.new_state()
-        obj.commit(state, 0)
-        assert obj.gain(state, 1) == pytest.approx(0.6)
+        obj.commit(0)
+        assert obj.gain(1) == pytest.approx(0.6)
 
     def test_dsum_incremental(self):
         s = spec_for("dsum")
         obj = build_objective(s)
-        state = obj.new_state()
-        obj.commit(state, 0)
-        assert obj.gain(state, 1) == pytest.approx(0.9)
+        obj.commit(0)
+        assert obj.gain(1) == pytest.approx(0.9)
 
     def test_duplicate_and_bounds_errors(self):
         obj = build_objective(spec_for("fl"))
-        state = obj.new_state()
-        obj.commit(state, 0)
+        obj.commit(0)
         with pytest.raises(ValueError, match="already selected"):
-            obj.gain(state, 0)
+            obj.gain(0)
         with pytest.raises(IndexError):
-            obj.gain(state, 5)
+            obj.gain(5)
 
     def test_gain_matches_eval_difference(self):
         rng = np.random.default_rng(3)
         for kind in KINDS:
             s = random_spec(rng, kind)
             obj = build_objective(s)
-            state = obj.new_state()
             for a in (2, 0, 4):
-                g = obj.gain(state, a)
-                expect = obj.evaluate(state.selected + [a]) - obj.evaluate(state.selected)
+                g = obj.gain(a)
+                expect = obj.evaluate(obj.selected + [a]) - obj.evaluate(obj.selected)
                 assert g == pytest.approx(expect, abs=1e-8, rel=1e-8), kind
-                obj.commit(state, a)
+                obj.commit(a)
 
 
 class TestCommit:
     def test_fl_running_max_cache(self):
         obj = build_objective(spec_for("fl"))
-        state = obj.new_state()
-        obj.commit(state, 0)
-        np.testing.assert_allclose(state.aux["cur"], [1.0, 0.1, 0.1])
+        obj.commit(0)
+        np.testing.assert_allclose(obj.cur, [1.0, 0.1, 0.1])
 
     def test_commit_order_does_not_change_value(self):
         rng = np.random.default_rng(11)
         for kind in KINDS:
             s = random_spec(rng, kind)
-            obj = build_objective(s)
-            s1, s2 = obj.new_state(), obj.new_state()
-            obj.commit(s1, 1)
-            obj.commit(s1, 3)
-            obj.commit(s2, 3)
-            obj.commit(s2, 1)
-            assert s1.value == pytest.approx(s2.value, rel=1e-10, abs=1e-10), kind
+            o1, o2 = build_objective(s), build_objective(s)
+            o1.commit(1)
+            o1.commit(3)
+            o2.commit(3)
+            o2.commit(1)
+            assert o1.value == pytest.approx(o2.value, rel=1e-10, abs=1e-10), kind
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_objectives_share_no_selection(self, kind):
+        # commits on one objective leave another built from the same spec with
+        # its empty selection, its value and its caches, attribute for attribute
+        spec = random_spec(np.random.default_rng(KINDS.index(kind)), kind)
+        first, second = build_objective(spec), build_objective(spec)
+        fresh = second.gains()
+        before = pickle.dumps(vars(second))
+        first.commit(1)
+        first.commit(3)
+        first.gains()
+        assert second.selected == [] and second.value == 0.0
+        assert pickle.dumps(vars(second)) == before
+        np.testing.assert_array_equal(second.gains(), fresh)
 
     def test_cache_consistency_random_sequences(self):
         rng = np.random.default_rng(19)
@@ -190,11 +200,10 @@ class TestCommit:
             for _ in range(20):
                 s = random_spec(rng, kind, n=7)
                 obj = build_objective(s)
-                state = obj.new_state()
                 for a in rng.permutation(7)[: rng.integers(1, 6)]:
-                    obj.commit(state, int(a))
-                    scratch = obj.evaluate(state.selected)
-                    assert state.value == pytest.approx(scratch, rel=tol, abs=tol), kind
+                    obj.commit(int(a))
+                    scratch = obj.evaluate(obj.selected)
+                    assert obj.value == pytest.approx(scratch, rel=tol, abs=tol), kind
 
 
 class TestAgainstBruteForce:
@@ -322,8 +331,9 @@ class TestPivotRule:
         spec = ObjectiveSpec(kind, s_uu=uu, s_ut=ut if mi else None, s_tt=tt if mi else None)
         loops = (_naive_greedy,) if mi else (_naive_greedy, _lazy_greedy)
         for loop in loops:
-            state, gains, _ = loop(build_objective(spec), n)
-            assert sorted(state.selected) == list(range(n))
+            obj = build_objective(spec)
+            gains, _ = loop(obj, n)
+            assert sorted(obj.selected) == list(range(n))
             assert np.all(np.isfinite(gains))
 
 
@@ -397,17 +407,16 @@ class TestSpecValidation:
 
 def scalar_naive_greedy(obj, k):
     """Reference naive greedy: one scalar gain per remaining candidate per step."""
-    state = obj.new_state()
     remaining = list(range(obj.n))
     gains = []
     for _ in range(k):
-        step = [obj.gain(state, a) for a in remaining]
+        step = [obj.gain(a) for a in remaining]
         best = max(step)
         winner, g = next((a, g) for a, g in zip(remaining, step) if g >= best - TIE_TOL)
-        obj.commit(state, winner)
+        obj.commit(winner)
         remaining.remove(winner)
         gains.append(g)
-    return state.selected, gains
+    return obj.selected, gains
 
 
 def with_chunk_edges(test):
@@ -428,30 +437,29 @@ class TestBatchedGains:
         params = dict(eta=rng.uniform(0, 1 if kind == "logdetmi" else 2),
                       gamma=rng.uniform(0, 2), lambda_gc=rng.uniform(0, 1))
         obj = build_objective(random_spec(rng, kind, n=n, m=m, **params))
-        state = obj.new_state()
         # commit a random sequence, asking for batched gains at random steps so
-        # that the residual state both folds in one index and catches up on
-        # several; at a chunk-edge size, commit four and check every state
+        # that the residuals both fold in one index and catch up on several; at
+        # a chunk-edge size, commit four and check every selection
         edge = n > 8
         for a in rng.permutation(n)[: 4 if edge else rng.integers(0, n)]:
             if edge or rng.random() < 0.5:
-                self._check_state(obj, state)
-            obj.commit(state, int(a))
-        self._check_state(obj, state)
+                self._check_gains(obj)
+            obj.commit(int(a))
+        self._check_gains(obj)
 
     @staticmethod
-    def _check_state(obj, state):
+    def _check_gains(obj):
         # every kind writes its gain once, elementwise in the candidate index,
         # so each batched gain runs the scalar gain's arithmetic and is exact
-        got = obj.gains(state)
-        base = obj.evaluate(state.selected)
+        got = obj.gains()
+        base = obj.evaluate(obj.selected)
         assert got.shape == (obj.n,)
         for a in range(obj.n):
-            if a in state.selected:
+            if a in obj.selected:
                 assert got[a] == -np.inf
                 continue
-            assert got[a] == obj.gain(state, a)
-            fresh = obj.evaluate(state.selected + [a]) - base
+            assert got[a] == obj.gain(a)
+            fresh = obj.evaluate(obj.selected + [a]) - base
             assert got[a] == pytest.approx(fresh, rel=1e-8, abs=1e-8)
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -464,9 +472,10 @@ class TestBatchedGains:
             n = int(rng.integers(3, 9))
             k = int(rng.integers(1, n + 1))
             spec = random_spec(rng, kind, n=n)
-            state, naive_gains, evals = _naive_greedy(build_objective(spec), k)
+            obj = build_objective(spec)
+            naive_gains, evals = _naive_greedy(obj, k)
             selected, gains = scalar_naive_greedy(reference(spec), k)
-            assert state.selected == selected
+            assert obj.selected == selected
             assert naive_gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
             assert evals == sum(n - i for i in range(k))
 
@@ -480,17 +489,16 @@ class TestBatchedGains:
             spec = ObjectiveSpec(kind, s_uu=uu, s_ut=ut if kind == "logdetmi" else None,
                                  s_tt=tt if kind == "logdetmi" else None, ridge=1e-4)
             obj = build_objective(spec)
-            state = obj.new_state()
             order = [int(a) for a in rng.permutation(n)]
             c = int(rng.integers(1, n))
             for a in order[:c]:
-                obj.commit(state, a)
-            sel = list(state.selected)
+                obj.commit(a)
+            sel = list(obj.selected)
             ref_base = eval_reference(kind, sel, uu=uu.values, ut=ut.values, tt=tt.values,
                                       eps=spec.ridge)
-            assert state.value == pytest.approx(ref_base, rel=1e-8, abs=1e-8)
+            assert obj.value == pytest.approx(ref_base, rel=1e-8, abs=1e-8)
             for a in order[c:]:
-                g = obj.gain(state, a)
+                g = obj.gain(a)
                 assert g == pytest.approx(obj.evaluate(sel + [a]) - obj.evaluate(sel),
                                           rel=1e-8, abs=1e-8)
                 ref = eval_reference(kind, sel + [a], uu=uu.values, ut=ut.values,
@@ -507,9 +515,10 @@ class TestBatchedGains:
             spec = ObjectiveSpec(kind, s_uu=uu, s_ut=ut if kind == "logdetmi" else None,
                                  s_tt=tt if kind == "logdetmi" else None, ridge=0.0)
             for k in (3, 4):
-                state, gains, _ = _naive_greedy(build_objective(spec), k)
+                obj = build_objective(spec)
+                gains, _ = _naive_greedy(obj, k)
                 selected, ref_gains = scalar_naive_greedy(SolveLogDet(spec), k)
-                assert state.selected == selected, (seed, k)
+                assert obj.selected == selected, (seed, k)
                 assert gains == pytest.approx(ref_gains, rel=1e-10, abs=1e-10)
                 assert np.all(np.isfinite(gains))
                 assert not {0, 1} <= set(selected) and not {2, 4} <= set(selected)
@@ -533,9 +542,10 @@ class TestBatchedGains:
             spec = ObjectiveSpec("logdetmi", s_uu=build_kernel(pool, pool, cfg),
                                  s_ut=build_kernel(pool, target, cfg),
                                  s_tt=build_kernel(target, target, cfg), ridge=0.0)
-            state, gains, _ = _naive_greedy(build_objective(spec), 3)
+            obj = build_objective(spec)
+            gains, _ = _naive_greedy(obj, 3)
             selected, ref_gains = scalar_naive_greedy(SolveLogDet(spec), 3)
-            assert state.selected == selected and 2 not in selected, seed
+            assert obj.selected == selected and 2 not in selected, seed
             assert gains == pytest.approx(ref_gains, rel=1e-10, abs=1e-10)
             assert max(gains) < 10
 
@@ -552,11 +562,10 @@ class TestBatchedGains:
         # a library caller committing a copy of a selected row directly
         uu, ut, tt = duplicate_row_kernels(0)
         obj = build_objective(ObjectiveSpec("logdetmi", s_uu=uu, s_ut=ut, s_tt=tt, ridge=0.0))
-        state = obj.new_state()
-        obj.commit(state, 0)
-        obj.commit(state, 1)
+        obj.commit(0)
+        obj.commit(1)
         with pytest.raises(IndefiniteKernelError, match="not a pivot of the pool kernel"):
-            obj.gains(state)
+            obj.gains()
 
 
 class TestTargetSolve:
@@ -607,16 +616,16 @@ class TestExactLogDet:
         exact_copies = 0
         for seed in range(8):
             uu, ut, tt = duplicate_row_kernels(seed)
-            ref = ExactLogDet(self._spec(kind, uu, ut, tt, ridge=0.0))
+            spec = self._spec(kind, uu, ut, tt, ridge=0.0)
             for a, copy in ((0, 1), (1, 0), (2, 4), (4, 2)):
-                state = ref.new_state()
-                ref.commit(state, a)
-                assert ref.gain(state, copy) == -np.inf, (seed, a)
+                ref = ExactLogDet(spec)
+                ref.commit(a)
+                assert ref.gain(copy) == -np.inf, (seed, a)
                 if np.array_equal(uu.values[a], uu.values[copy]):
                     exact_copies += 1
-                    assert ref.residuals(state, copy)[1] == [0] * len(ref.kernels)
+                    assert ref.residuals(copy)[1] == [0] * len(ref.kernels)
                 with pytest.raises(IndefiniteKernelError, match="not a pivot"):
-                    ref.commit(state, copy)
+                    ref.commit(copy)
         assert exact_copies > 0
 
     @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
@@ -629,14 +638,13 @@ class TestExactLogDet:
             uu, ut, tt = random_kernels(rng, n, 2)
             spec = self._spec(kind, uu, ut, tt)
             ref = ExactLogDet(spec)
-            state = ref.new_state()
 
             def value(idx):
                 return eval_reference(kind, idx, uu=uu.values, ut=ut.values, tt=tt.values,
                                       eta=spec.eta, eps=spec.ridge)
 
             for a in rng.permutation(n).tolist():
-                expected = value(state.selected + [a]) - value(state.selected)
-                assert ref.gain(state, a) == pytest.approx(expected, rel=1e-9, abs=1e-9)
-                ref.commit(state, a)
-            assert state.value == pytest.approx(value(state.selected), rel=1e-9, abs=1e-9)
+                expected = value(ref.selected + [a]) - value(ref.selected)
+                assert ref.gain(a) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                ref.commit(a)
+            assert ref.value == pytest.approx(value(ref.selected), rel=1e-9, abs=1e-9)

@@ -14,7 +14,6 @@ from targetsel.objectives import (
     SUBMODULAR_KINDS,
     Objective,
     ObjectiveSpec,
-    ObjectiveState,
     build_objective,
 )
 from targetsel.optimizer import (
@@ -25,6 +24,21 @@ from targetsel.optimizer import (
     _stale_block,
     greedy_maximize,
 )
+
+
+def count_blocks(obj):
+    """The lengths of the index arrays that lazy greedy passes to obj.gains_at,
+    as a list that grows while obj selects; gains and commits pass slices and ints."""
+    blocks = []
+    gains_at = obj.gains_at
+
+    def counted(idx):
+        if isinstance(idx, np.ndarray):
+            blocks.append(len(idx))
+        return gains_at(idx)
+
+    obj.gains_at = counted
+    return blocks
 
 
 def random_spec(rng, kind, n=8, m=3):
@@ -88,9 +102,9 @@ class TestLazyNaiveIdentity:
         obj = build_objective(spec)
         lazy = obj.lazy_safe and obj.lazy_pays
         assert lazy == (kind in ("fl", "fl1mi", "fl2mi"))
-        state, gains, evals = (_lazy_greedy if lazy else _naive_greedy)(obj, 4)
+        gains, evals = (_lazy_greedy if lazy else _naive_greedy)(obj, 4)
         res = greedy_maximize(spec, 4)
-        assert (res.selected, res.gains, res.evaluations) == (state.selected, gains, evals)
+        assert (res.selected, res.gains, res.evaluations) == (obj.selected, gains, evals)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_identical_selections(self, kind):
@@ -98,11 +112,12 @@ class TestLazyNaiveIdentity:
         for _ in range(25):
             spec = random_spec(rng, kind, n=int(rng.integers(4, 10)))
             k = int(rng.integers(1, 5))
-            state, naive_gains, naive_evals = _naive_greedy(build_objective(spec), k)
-            obj = build_objective(spec)
+            naive = build_objective(spec)
+            naive_gains, naive_evals = _naive_greedy(naive, k)
+            lazy = build_objective(spec)
             # stale bounds are unsound where the kind is not lazy_safe
-            lazy, lazy_gains, lazy_evals = (_lazy_greedy if obj.lazy_safe else _naive_greedy)(obj, k)
-            assert state.selected == lazy.selected
+            lazy_gains, lazy_evals = (_lazy_greedy if lazy.lazy_safe else _naive_greedy)(lazy, k)
+            assert naive.selected == lazy.selected
             assert naive_gains == pytest.approx(lazy_gains, abs=1e-12)
             assert lazy_evals <= naive_evals
 
@@ -110,8 +125,10 @@ class TestLazyNaiveIdentity:
         uu = SimilarityKernel(np.full((6, 6), 1.0), symmetric=True)
         for kind in ("fl", "gc"):
             spec = ObjectiveSpec(kind, s_uu=uu)
-            state, _, _ = _naive_greedy(build_objective(spec), 3)
-            assert state.selected == _lazy_greedy(build_objective(spec), 3)[0].selected
+            naive, lazy = build_objective(spec), build_objective(spec)
+            _naive_greedy(naive, 3)
+            _lazy_greedy(lazy, 3)
+            assert naive.selected == lazy.selected
 
 
 class TestLazyBlocks:
@@ -124,12 +141,10 @@ class TestLazyBlocks:
         rng = np.random.default_rng(zlib.crc32(kind.encode()) + 1)
         for n in (4 * LAZY_BLOCK, 4 * LAZY_BLOCK + 5, 300):
             spec = random_spec(rng, kind, n=n, m=5)
-            obj = build_objective(spec)
-            blocks = []
-            gains_at = obj.gains_at
-            obj.gains_at = lambda state, idx: blocks.append(len(idx)) or gains_at(state, idx)
-            lazy, lazy_gains, lazy_evals = _lazy_greedy(obj, 12)
-            naive, naive_gains, naive_evals = _naive_greedy(build_objective(spec), 12)
+            lazy, naive = build_objective(spec), build_objective(spec)
+            blocks = count_blocks(lazy)
+            lazy_gains, lazy_evals = _lazy_greedy(lazy, 12)
+            naive_gains, naive_evals = _naive_greedy(naive, 12)
             assert lazy.selected == naive.selected
             assert lazy_gains == naive_gains and lazy.value == naive.value
             assert lazy_evals <= naive_evals
@@ -141,7 +156,7 @@ class TestLazyBlocks:
         # lowest index; lazy greedy re-scores in blocks of at most LAZY_BLOCK
         # and never calls the scalar Objective.gain
         scalar = []
-        monkeypatch.setattr(Objective, "gain", lambda self, state, a: scalar.append(a))
+        monkeypatch.setattr(Objective, "gain", lambda self, a: scalar.append(a))
         n = 4 * LAZY_BLOCK + 3
         need = KERNEL_REQUIREMENTS[kind]
         spec = ObjectiveSpec(
@@ -149,12 +164,10 @@ class TestLazyBlocks:
             s_uu=SimilarityKernel(np.ones((n, n)), symmetric=True) if "uu" in need else None,
             s_ut=SimilarityKernel(np.ones((n, 4))) if "ut" in need else None,
         )
-        obj = build_objective(spec)
-        blocks = []
-        gains_at = obj.gains_at
-        obj.gains_at = lambda state, idx: blocks.append(len(idx)) or gains_at(state, idx)
-        lazy, lazy_gains, lazy_evals = _lazy_greedy(obj, 10)
-        naive, naive_gains, naive_evals = _naive_greedy(build_objective(spec), 10)
+        lazy, naive = build_objective(spec), build_objective(spec)
+        blocks = count_blocks(lazy)
+        lazy_gains, lazy_evals = _lazy_greedy(lazy, 10)
+        naive_gains, naive_evals = _naive_greedy(naive, 10)
         assert lazy.selected == naive.selected
         assert lazy_gains == naive_gains
         assert lazy.selected == list(range(10))
@@ -178,8 +191,9 @@ class TestLazyBlocks:
     @pytest.mark.parametrize("loop", (_lazy_greedy, _naive_greedy), ids=("lazy", "naive"))
     def test_logdet_all_equal_order(self, n, loop):
         spec = ObjectiveSpec("logdet", s_uu=SimilarityKernel(np.ones((n, n)), symmetric=True))
-        state, _, _ = loop(build_objective(spec), 10)
-        assert state.selected == list(range(10))
+        obj = build_objective(spec)
+        loop(obj, 10)
+        assert obj.selected == list(range(10))
 
 
 class TableObjective:
@@ -189,23 +203,20 @@ class TableObjective:
         self.table = np.asarray(table, dtype=float)
         self.n = self.table.shape[1]
         self.calls = []  # the index arrays passed to gains_at
+        self.selected, self.value = [], 0.0
 
-    def new_state(self):
-        return ObjectiveState()
-
-    def gains(self, state):
-        out = self.table[len(state.selected)].copy()
-        out[state.selected] = -np.inf
+    def gains(self):
+        out = self.table[len(self.selected)].copy()
+        out[self.selected] = -np.inf
         return out
 
-    def gains_at(self, state, idx):
+    def gains_at(self, idx):
         self.calls.append(list(idx))
-        return self.table[len(state.selected)][idx]
+        return self.table[len(self.selected)][idx]
 
-    def commit(self, state, a):
-        state.value += self.table[len(state.selected)][a]
-        state.selected.append(a)
-        return state
+    def commit(self, a):
+        self.value += self.table[len(self.selected)][a]
+        self.selected.append(a)
 
 
 class TestLazyTieWindow:
@@ -220,12 +231,12 @@ class TestLazyTieWindow:
         n = LAZY_BLOCK + 2
         first = [10.0, 5.0 - TIE_TOL / 2] + [5.0] * LAZY_BLOCK
         second = [0.0, rescored] + [5.0] * LAZY_BLOCK
-        lazy_obj = TableObjective([first, second])
-        lazy, lazy_gains, lazy_evals = _lazy_greedy(lazy_obj, 2)
-        naive, naive_gains, naive_evals = _naive_greedy(TableObjective([first, second]), 2)
+        lazy, naive = TableObjective([first, second]), TableObjective([first, second])
+        lazy_gains, lazy_evals = _lazy_greedy(lazy, 2)
+        naive_gains, naive_evals = _naive_greedy(naive, 2)
         assert lazy.selected == naive.selected == [0, winner]
         assert lazy_gains == naive_gains == [10.0, second[winner]]
-        assert lazy_obj.calls == [list(range(2, n)), [1]]
+        assert lazy.calls == [list(range(2, n)), [1]]
         assert lazy_evals == n + LAZY_BLOCK + 1 <= naive_evals
 
 
@@ -244,9 +255,10 @@ class TestLazyLogDetScalarPath:
 
     @staticmethod
     def assert_matches(spec, k):
-        res, res_gains, res_evals = _lazy_greedy(build_objective(spec), k)
-        state, gains, evals = _lazy_greedy(SolveLogDet(spec), k)
-        assert res.selected == state.selected
+        res, ref = build_objective(spec), SolveLogDet(spec)
+        res_gains, res_evals = _lazy_greedy(res, k)
+        gains, evals = _lazy_greedy(ref, k)
+        assert res.selected == ref.selected
         assert res_evals == evals
         assert res_gains == pytest.approx(gains, rel=1e-10, abs=1e-10)
 
@@ -258,7 +270,9 @@ class TestLazyLogDetScalarPath:
         uu = SimilarityKernel(np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 1.0]]),
                               symmetric=True)
         spec = ObjectiveSpec("logdet", s_uu=uu, ridge=0.0)
-        assert _lazy_greedy(build_objective(spec), 2)[0].selected == [0, 2]
+        obj = build_objective(spec)
+        _lazy_greedy(obj, 2)
+        assert obj.selected == [0, 2]
         for loop in (_lazy_greedy, _naive_greedy):
             with pytest.raises(IndefiniteKernelError, match="rank reached is 2;"):
                 loop(build_objective(spec), 3)
@@ -272,9 +286,10 @@ class TestLazyLogDetScalarPath:
             uu, _, _ = duplicate_row_kernels(seed)
             spec = ObjectiveSpec("logdet", s_uu=uu, ridge=0.0)
             for k in (3, 4):
-                lazy, lazy_gains, _ = _lazy_greedy(build_objective(spec), k)
-                naive, naive_gains, _ = _naive_greedy(build_objective(spec), k)
-                ref, ref_gains, _ = _lazy_greedy(SolveLogDet(spec), k)
+                lazy, naive, ref = build_objective(spec), build_objective(spec), SolveLogDet(spec)
+                lazy_gains, _ = _lazy_greedy(lazy, k)
+                naive_gains, _ = _naive_greedy(naive, k)
+                ref_gains, _ = _lazy_greedy(ref, k)
                 assert lazy.selected == naive.selected == ref.selected, (seed, k)
                 assert lazy_gains == naive_gains
                 assert lazy_gains == pytest.approx(ref_gains, rel=1e-10, abs=1e-10)

@@ -401,6 +401,7 @@ class TestExperimentCommand:
         '{"budget": -1}', '{"max_epochs": -1}', '{"learn_rate": -1.0}', '{"feature_dim": 5}',
         '{"lake_size": 5}', '{"methods": 5}', '{"class_separation": NaN}',
         '{"pair_separation": NaN}', '{"train_acc_threshold": NaN}',
+        '{"num_classes": 3, "feature_dim": 3}',
     ])
     def test_bad_config_rejected_before_generating(self, tmp_path, capsys, monkeypatch, text):
         monkeypatch.setattr(harness, "synthetic_generate", _never_called)
