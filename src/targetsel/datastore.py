@@ -4,6 +4,8 @@ Files are headerless CSV, one instance per line. They are parsed in bulk by
 numpy's C reader; input it rejects, or that holds a non-finite value, is
 re-read line by line so that the error names its line. Loaded containers are
 immutable and safe to share across threads; they copy a writeable input array.
+The dense values of an outer-product FeatureMatrix are built on first read and
+cached: a first read from two threads may build them twice, with identical bytes.
 """
 
 import warnings
@@ -31,7 +33,8 @@ class FeatureMatrix:
     """n x d matrix of per-instance feature (or gradient-embedding) vectors.
 
     `factors` is None, or the pair (r, x) when the matrix was built by `outer`
-    and row i is the flattened outer product r_i (x) x_i.
+    and row i is the flattened outer product r_i (x) x_i; its `values` are then
+    built on first read, and `rows`, `dims` and `factors` do not build them.
     """
 
     values: np.ndarray
@@ -54,21 +57,38 @@ class FeatureMatrix:
                                   f"got shapes {r.shape} and {x.shape}")
         if not (np.isfinite(r).all() and np.isfinite(x).all()):
             raise DataFormatError("outer-product factors contain non-finite entries")
+        shape = (len(r), r.shape[1] * x.shape[1])
+        if min(shape) < 1:
+            raise DataFormatError(f"feature matrix must be 2-D and nonempty, got shape {shape}")
+        # rounding is monotone, so some fl(r_ia x_ib) overflows exactly when the
+        # product of the row maxima of |r| and |x| does
         with np.errstate(over="ignore"):
-            values = (r[:, :, None] * x[:, None, :]).reshape(len(r), -1)
-        if not np.isfinite(values).all():
-            raise DataFormatError("outer products of the factors overflow")
-        values.setflags(write=False)  # shared, not copied: see freeze
-        m = cls(values)
+            if not np.isfinite(np.abs(r).max(axis=1) * np.abs(x).max(axis=1)).all():
+                raise DataFormatError("outer products of the factors overflow")
+        m = object.__new__(cls)  # no values yet: __getattr__ builds them on first read
         object.__setattr__(m, "factors", (r, x))
         return m
 
+    def __getattr__(self, name):
+        # reached only for an attribute that is not set, as an outer matrix's values before
+        # their first read; finite factors that pass outer's check make finite products
+        if name != "values" or self.factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        r, x = self.factors
+        values = (r[:, :, None] * x[:, None, :]).reshape(len(r), -1)
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        return values
+
     @property
     def rows(self):
-        return self.values.shape[0]
+        return len(self.factors[0]) if self.factors else self.values.shape[0]
 
     @property
     def dims(self):
+        if self.factors:
+            r, x = self.factors
+            return r.shape[1] * x.shape[1]
         return self.values.shape[1]
 
 

@@ -218,7 +218,8 @@ def gradient_embeddings(model, x, labels=None):
     as a FeatureMatrix that keeps both factors (see FeatureMatrix.outer).
 
     With labels=None the label is hypothesized as the model's argmax
-    prediction; pass true labels for the target set.
+    prediction; pass true labels for the target set: one integer class in
+    [0, C) per row of x.
     """
     xb = _with_bias(np.asarray(x, dtype=np.float64))
     if xb.shape[1] != model.weights.shape[1]:
@@ -226,7 +227,14 @@ def gradient_embeddings(model, x, labels=None):
             f"feature dim {xb.shape[1] - 1} does not match model dim {model.weights.shape[1] - 1}"
         )
     p = _softmax(xb @ model.weights.T)
-    y = p.argmax(axis=1) if labels is None else np.asarray(labels)
+    if labels is None:
+        y = p.argmax(axis=1)
+    else:
+        y = np.asarray(labels)
+        if (y.shape != (len(p),) or not np.issubdtype(y.dtype, np.integer)
+                or y.size and (y.min() < 0 or y.max() >= p.shape[1])):
+            raise ConfigurationError(f"labels must be {len(p)} integers in [0, {p.shape[1]}), "
+                                     f"one per row of x; got dtype {y.dtype} and shape {y.shape}")
     resid = p.copy()
     resid[np.arange(len(y)), y] -= 1.0
     return FeatureMatrix.outer(resid, xb)

@@ -109,6 +109,14 @@ def _check_norms(norms, which):
         )
 
 
+def _equal_rows(a, b):
+    """Whether a and b hold equal values, read only when their factors are not equal:
+    equal factors make equal products."""
+    if a.factors and b.factors and all(map(np.array_equal, a.factors, b.factors)):
+        return True
+    return np.array_equal(a.values, b.values)
+
+
 def _prepare_factors(factors, metric, which):
     """Factors of a matrix's rows, each row-normalized under cosine: (r, x) of an
     outer-product matrix, or the rows themselves as the single factor.
@@ -183,7 +191,7 @@ def build_kernel(a, b, cfg=KernelConfig()):
             f"a {a.rows} x {b.rows} kernel needs {out_bytes} bytes, more than the "
             f"{MEMORY_LIMIT} bytes of physical memory"
         )
-    same = a is b or (a.rows == b.rows and np.array_equal(a.values, b.values))
+    same = a is b or (a.rows == b.rows and _equal_rows(a, b))
     fa, fb = a.factors or (a.values,), b.factors or (b.values,)
     if len(fa) != len(fb) or any(f.shape[1] != h.shape[1] for f, h in zip(fa, fb)):
         fa, fb = (a.values,), (b.values,)

@@ -1,3 +1,4 @@
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -229,10 +230,72 @@ class TestOuterProducts:
         (np.ones((2, 3)), np.ones((3, 2)), "equal rows"),
         (np.ones(3), np.ones((3, 2)), "equal rows"),
         (np.ones((2, 0)), np.ones((2, 2)), "2-D and nonempty"),
+        (np.ones((2, 3)), np.ones((2, 0)), r"2-D and nonempty, got shape \(2, 0\)"),
+        (np.ones((0, 2)), np.ones((0, 3)), r"2-D and nonempty, got shape \(0, 6\)"),
         (np.full((1, 2), 1e200), np.full((1, 2), 1e200), "outer products of the factors overflow"),
         (np.array([[np.nan, 1.0]]), np.ones((1, 2)), "factors contain non-finite entries"),
         (np.ones((1, 2)), np.array([[1.0, -np.inf]]), "factors contain non-finite entries"),
-    ], ids=["unequal-rows", "1-d", "no-columns", "overflow", "nan", "inf"])
+    ], ids=["unequal-rows", "1-d", "no-columns", "no-columns-x", "no-rows", "overflow", "nan",
+        "inf"])
     def test_bad_factors_rejected(self, r, x, message):
         with pytest.raises(DataFormatError, match=message):
             FeatureMatrix.outer(r, x)
+
+    def test_values_built_on_first_read(self):
+        rng = np.random.default_rng(1)
+        r, x = rng.standard_normal((7, 4)), rng.standard_normal((7, 5))
+        m = FeatureMatrix.outer(r, x)
+        assert (m.rows, m.dims, len(m.factors)) == (7, 20, 2)
+        assert "values" not in vars(m)
+        first = m.values
+        assert first.tobytes() == (r[:, :, None] * x[:, None, :]).reshape(7, -1).tobytes()
+        assert first.shape == (7, 20) and first.flags.c_contiguous and not first.flags.writeable
+        assert m.values is first
+
+    @pytest.mark.parametrize("read_first", [False, True], ids=["unbuilt", "built"])
+    def test_pickle_round_trip(self, read_first):
+        rng = np.random.default_rng(2)
+        m = FeatureMatrix.outer(rng.standard_normal((6, 3)), rng.standard_normal((6, 4)))
+        if read_first:
+            m.values
+        back = pickle.loads(pickle.dumps(m))
+        assert ("values" in vars(back)) == read_first
+        assert all(f.tobytes() == g.tobytes() for f, g in zip(back.factors, m.factors))
+        assert back.values.tobytes() == m.values.tobytes()
+        assert (back.rows, back.dims) == (6, 12)
+
+    def test_unknown_attribute_is_an_attribute_error(self):
+        m = FeatureMatrix.outer(np.ones((1, 1)), np.ones((1, 1)))
+        assert not hasattr(m, "missing") and "values" not in vars(m)
+
+    # fl(a * b) is monotone in |a| and |b|, so a row overflows exactly when the
+    # product of its two largest magnitudes does; each case is also checked
+    # against the product of every pair, as outer materialized it before
+    @pytest.mark.parametrize("r,x,overflows", [
+        ([[2.0**511]], [[2.0**512]], False),
+        ([[2.0**511]], [[2.0**513]], True),
+        ([[-(2.0**511), 1.0]], [[3.0, 2.0**512]], False),
+        ([[-(2.0**511), 1.0]], [[-3.0, -(2.0**513)]], True),
+        ([[1.0, -(2.0**600)]], [[2.0**423, -0.5]], False),
+        ([[1.0, -(2.0**600)]], [[2.0**424, -0.5]], True),
+        # the exact product is 0.09 of a half-ulp above DBL_MAX and rounds down to it
+        ([[float.fromhex("0x1.6b7f3c9e9c616p+512")]], [[float.fromhex("0x1.68960fa2abe6dp+511")]],
+         False),
+        # the exact product is below 2**1024 yet rounds up to inf
+        ([[float.fromhex("0x1.0000000000001p+512")]], [[float.fromhex("0x1.ffffffffffffep+511")]],
+         True),
+        ([[5e-324, 2.0**-1070]], [[2.0**1023, 1.0]], False),
+        ([[5e-324, 1e300]], [[1e300, 5e-324]], True),
+        ([[1e200], [1.0]], [[1.0], [1e200]], False),
+    ], ids=["dbl-max-half", "two-to-1024", "signed-finite", "signed-overflow", "mixed-finite",
+            "mixed-overflow", "rounds-down-to-max", "rounds-up-to-inf", "subnormal",
+            "subnormal-row-overflow", "maxima-of-other-rows"])
+    def test_overflow_check_matches_materialized_products(self, r, x, overflows):
+        r, x = np.array(r), np.array(x)
+        with np.errstate(over="ignore", under="ignore"):
+            assert (not np.isfinite(r[:, :, None] * x[:, None, :]).all()) == overflows
+        if overflows:
+            with pytest.raises(DataFormatError, match="outer products of the factors overflow"):
+                FeatureMatrix.outer(r, x)
+        else:
+            assert np.isfinite(FeatureMatrix.outer(r, x).values).all()

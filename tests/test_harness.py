@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import train_softmax_reference
+from targetsel import harness
 from targetsel.baselines import random_select
+from targetsel.datastore import ProbabilityMatrix
 from targetsel.errors import ConfigurationError, DivergenceError
 from targetsel.harness import (
+    METHODS,
     ExperimentConfig,
     LabeledSplit,
     ToyModel,
@@ -14,6 +17,7 @@ from targetsel.harness import (
     gradient_embeddings,
     predict_proba,
     run_experiment,
+    select_indices,
     synthetic_generate,
     train_softmax,
 )
@@ -199,6 +203,62 @@ class TestGradientEmbeddings:
     def test_dim_mismatch(self):
         with pytest.raises(ConfigurationError):
             gradient_embeddings(ToyModel(np.zeros((2, 3))), np.zeros((1, 5)))
+
+    @pytest.fixture(scope="class")
+    def protocol_seed_0(self):
+        """The base model and the 15 target rows of default protocol seed 0 (10 classes)."""
+        cfg = ExperimentConfig()
+        data = synthetic_generate(cfg, 0)
+        return train_softmax(data.train, cfg), data.target
+
+    @pytest.mark.parametrize("labels,got", [
+        (lambda y: y[:3], "int64 and shape (3,)"),
+        (lambda y: np.concatenate([y, y[:2]]), "int64 and shape (17,)"),
+        (lambda y: np.where(np.arange(15) == 4, -1, y), "int64 and shape (15,)"),
+        (lambda y: np.where(np.arange(15) == 4, 10, y), "int64 and shape (15,)"),
+        (lambda y: y.astype(np.float64), "float64 and shape (15,)"),
+        (lambda y: y[:, None], "int64 and shape (15, 1)"),
+    ], ids=["3-labels", "17-labels", "minus-one", "ten", "float", "2-d"])
+    def test_bad_labels_rejected(self, protocol_seed_0, labels, got):
+        base, target = protocol_seed_0
+        with pytest.raises(ConfigurationError) as err:
+            gradient_embeddings(base, target.x, labels(target.y))
+        assert str(err.value) == ("labels must be 15 integers in [0, 10), one per row of x; "
+                                  f"got dtype {got}")
+
+    def test_labels_as_list_or_narrow_ints(self, protocol_seed_0):
+        base, target = protocol_seed_0
+        expected = gradient_embeddings(base, target.x, target.y).factors
+        for labels in (target.y.tolist(), target.y.astype(np.uint8)):
+            got = gradient_embeddings(base, target.x, labels).factors
+            assert all(f.tobytes() == g.tobytes() for f, g in zip(got, expected))
+
+
+class TestEmbeddingValuesStayUnbuilt:
+    """Kernels and BADGE read the gradient embeddings' factors, so no selection
+    and no experiment builds their dense values."""
+
+    def test_select_indices_every_method(self):
+        data = synthetic_generate(SMALL, 0)
+        base = train_softmax(data.train, SMALL)
+        probs = ProbabilityMatrix(predict_proba(base, data.lake.x))
+        for method in METHODS:
+            lake = gradient_embeddings(base, data.lake.x)
+            target = gradient_embeddings(base, data.target.x, data.target.y)
+            select_indices(method, SMALL, lake, target, probs, 0)
+            assert "values" not in vars(lake) and "values" not in vars(target), method
+
+    def test_run_experiment(self, monkeypatch):
+        made = []
+
+        def recording(*args):
+            made.append(gradient_embeddings(*args))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "gradient_embeddings", recording)
+        run_experiment(SMALL, list(METHODS))
+        assert len(made) == 2 * len(SMALL.seeds)
+        assert not any("values" in vars(m) for m in made)
 
 
 class TestRunExperiment:

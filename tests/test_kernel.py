@@ -244,6 +244,22 @@ class TestFactoredKernels:
         expected = build_kernel(FeatureMatrix(a.values), FeatureMatrix(b.values)).values
         assert build_kernel(a, b).values.tobytes() == expected.tobytes()
 
+    def test_equal_factors_flag_symmetric_without_values(self):
+        rng = np.random.default_rng(0)
+        r, x = rng.standard_normal((TILE + 5, 10)), rng.standard_normal((TILE + 5, 65))
+        a, twin = FeatureMatrix.outer(r, x), FeatureMatrix.outer(r.copy(), x.copy())
+        k = build_kernel(a, twin)
+        assert k.symmetric and k.values.tobytes() == build_kernel(a, a).values.tobytes()
+        assert "values" not in vars(a) and "values" not in vars(twin)
+
+    def test_unequal_factors_of_equal_values_flag_symmetric(self):
+        # (2r) (x) (x/2) equals r (x) x entry for entry: the values decide, as for plain rows
+        rng = np.random.default_rng(0)
+        r, x = rng.standard_normal((5, 3)), rng.standard_normal((5, 4))
+        a, b = FeatureMatrix.outer(r, x), FeatureMatrix.outer(2.0 * r, x / 2.0)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert build_kernel(a, b).symmetric
+
     @pytest.mark.parametrize("zero_row", [0, 5, TILE + 4])
     def test_one_hot_prediction_row_is_degenerate(self, zero_row):
         a, plain_a = outer_pair(0, TILE + 5, zero_row=zero_row)
