@@ -28,13 +28,14 @@ def freeze(values):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class FeatureMatrix:
     """n x d matrix of per-instance feature (or gradient-embedding) vectors.
 
     `factors` is None, or the pair (r, x) when the matrix was built by `outer`
     and row i is the flattened outer product r_i (x) x_i; its `values` are then
-    built on first read, and `rows`, `dims` and `factors` do not build them.
+    built on first read, and `rows`, `dims`, `factors` and repr do not build them.
+    Matrices compare by identity: == of two arrays has no single truth value.
     """
 
     values: np.ndarray
@@ -80,6 +81,9 @@ class FeatureMatrix:
         object.__setattr__(self, "values", values)
         return values
 
+    def __repr__(self):
+        return f"FeatureMatrix({self.rows} x {self.dims}{', outer' if self.factors else ''})"
+
     @property
     def rows(self):
         return len(self.factors[0]) if self.factors else self.values.shape[0]
@@ -92,7 +96,7 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityMatrix:
     """Row-stochastic n x C matrix of predicted class probabilities."""
 

@@ -16,8 +16,8 @@ import numpy as np
 from . import baselines
 from .datastore import FeatureMatrix, ProbabilityMatrix
 from .errors import ConfigurationError, DivergenceError, check_field_types
-from .kernel import KernelConfig, build_kernel
-from .objectives import KERNEL_REQUIREMENTS, KINDS, ObjectiveSpec, check_parameters
+from .kernel import KernelConfig, KernelRows, build_kernel, rows_pay
+from .objectives import KERNEL_REQUIREMENTS, KINDS, ROW_KINDS, ObjectiveSpec, check_parameters
 from .optimizer import greedy_maximize
 
 BASELINE_KINDS = ("random", "us", "tus", "badge")
@@ -273,7 +273,11 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None)
     every method clamps the budget to the lake and flags a clamped one truncated."""
     kernels = kernels or KernelCache(lake_emb, target_emb)
     if method in KINDS:
-        spec = ObjectiveSpec(method, **{f"s_{name}": kernels.get(name)
+        # Where rows pay, the kinds that read few pool-kernel rows get rows of their own, which
+        # go with the selection: no kernel the cache holds changes what they read.
+        rows = method in ROW_KINDS and rows_pay(min(cfg.budget, lake_emb.rows), lake_emb)
+        spec = ObjectiveSpec(method, **{f"s_{name}": KernelRows(lake_emb, kernels.kcfg)
+                                        if rows and name == "uu" else kernels.get(name)
                                         for name in KERNEL_REQUIREMENTS[method]},
                              eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge)
         return greedy_maximize(spec, cfg.budget)

@@ -12,6 +12,9 @@ The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
 One entrywise epilogue (unit diagonal under cosine, then the transform) finishes each kernel in
 place, per panel from two factors; SimilarityKernel checks finiteness and symmetry in one tile pass.
+A within-set kernel can instead be served by rows (KernelRows), computed from the same factors
+when first read, when a selection reads few of them (rows_pay): within a few ulps of the built
+kernel, not bitwise, and never n x n in memory. Both offer row(j), diagonal() and block(indices).
 """
 
 import os
@@ -42,6 +45,21 @@ def _physical_memory():
 
 # No kernel may need more bytes than this; None disables the check.
 MEMORY_LIMIT = _physical_memory()
+
+# A within-set kernel is served by rows while budget * total factor width is at most
+# ROWS_WIDTH * rows: k rows cost about k * n * width, one n x n build about n^2 * (a + b * width),
+# so the budget up to which rows are cheaper falls with the width. The README's crossover table
+# (dsum, n = 2000) puts it near k = 250 for 10+65-wide factors (250 * 75 / 2000 = 9.4) and near
+# k = 60-100 for 650-wide plain rows (20-33); the smaller bound keeps rows off both crossovers.
+ROWS_WIDTH = 9
+
+
+def _check_size(rows, cols, what):
+    """SizeError, before allocating, when a rows x cols float64 array exceeds MEMORY_LIMIT."""
+    need = 8 * rows * cols
+    if MEMORY_LIMIT is not None and need > MEMORY_LIMIT:
+        raise SizeError(f"a {rows} x {cols} {what} needs {need} bytes, more than the "
+                        f"{MEMORY_LIMIT} bytes of physical memory")
 
 
 @dataclass(frozen=True)
@@ -88,6 +106,85 @@ class SimilarityKernel:
     @property
     def shape(self):
         return self.values.shape
+
+    def row(self, j):
+        return self.values[j]
+
+    def diagonal(self):
+        return self.values.diagonal()
+
+    def block(self, indices):
+        return self.values[np.ix_(indices, indices)]
+
+
+class KernelRows:
+    """The within-set kernel of a feature matrix, with SimilarityKernel's shape, symmetric, row,
+    diagonal and block, but never built: each row is computed from the prepared factors when
+    first read, and cached. Row j is the epilogue of the product over the factors f of f @ f[j],
+    its entry j first set to the diagonal's (exactly 1 under cosine): within a few ulps of
+    build_kernel's row, not bitwise. numpy's einsum sums every row in one order, so row i's
+    entry j equals row j's entry i (a BLAS matrix-vector product does not promise that), and
+    each new row is checked for finiteness and against that entry of every row before it.
+    """
+
+    symmetric = True
+
+    def __init__(self, a, cfg=KernelConfig()):
+        self._factors = _prepare_factors(a.factors or (a.values,), cfg.metric, "left")
+        self._cfg = cfg
+        n = a.rows
+        self.shape = (n, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries raise below
+            self._raw = np.ones(n) if cfg.metric == "cosine" else np.prod(
+                [np.einsum("ij,ij->i", f, f) for f in self._factors], axis=0)
+        self._diagonal = _epilogue(self._raw.copy(), cfg)
+        if not np.isfinite(self._diagonal).all():
+            raise ShapeError("kernel contains non-finite entries")
+        self._diagonal.setflags(write=False)
+        self._rows = np.empty((0, n))
+        self._at = {}  # row index -> its position in self._rows, in the order computed
+
+    def row(self, j):
+        t = self._position(j)  # before self._rows is read: it may grow
+        row = self._rows[t]
+        row.setflags(write=False)
+        return row
+
+    def diagonal(self):
+        return self._diagonal
+
+    def block(self, indices):
+        at = [self._position(j) for j in indices]
+        return self._rows[np.ix_(at, indices)]
+
+    def _position(self, j):
+        """Where row j is kept, computing and checking it first if it is new."""
+        t = self._at.get(j)
+        if t is not None:
+            return t
+        t, n = len(self._at), self.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
+            g = np.einsum("ij,j->i", self._factors[0], self._factors[0][j])
+            for f in self._factors[1:]:
+                g *= np.einsum("ij,j->i", f, f[j])
+        g[j] = self._raw[j]
+        _epilogue(g, self._cfg)
+        if not np.isfinite(g).all():
+            raise ShapeError("kernel contains non-finite entries")
+        if not np.array_equal(g[list(self._at)], self._rows[:t, j]):
+            raise ShapeError("symmetric flag set on a non-symmetric matrix")
+        if t == len(self._rows):
+            cap = min(max(8, 2 * t), n)
+            _check_size(cap, n, "block of kernel rows")
+            self._rows = np.concatenate([self._rows, np.empty((cap - t, n))])
+        self._rows[t], self._at[j] = g, t
+        return t
+
+
+def rows_pay(budget, a):
+    """Whether the within-set kernel of a is cheaper served by rows (KernelRows) than built,
+    for a selection that reads `budget` rows of it; see ROWS_WIDTH."""
+    return budget * sum(f.shape[1] for f in a.factors or (a.values,)) <= ROWS_WIDTH * a.rows
 
 
 def _tiles(v, mirror):
@@ -185,12 +282,7 @@ def build_kernel(a, b, cfg=KernelConfig()):
     """
     if a.dims != b.dims:
         raise ShapeError(f"feature dimension mismatch: {a.dims} vs {b.dims}")
-    out_bytes = 8 * a.rows * b.rows
-    if MEMORY_LIMIT is not None and out_bytes > MEMORY_LIMIT:
-        raise SizeError(
-            f"a {a.rows} x {b.rows} kernel needs {out_bytes} bytes, more than the "
-            f"{MEMORY_LIMIT} bytes of physical memory"
-        )
+    _check_size(a.rows, b.rows, "kernel")
     same = a is b or (a.rows == b.rows and _equal_rows(a, b))
     fa, fb = a.factors or (a.values,), b.factors or (b.values,)
     if len(fa) != len(fb) or any(f.shape[1] != h.shape[1] for f, h in zip(fa, fb)):

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, IndefiniteKernelError
-from .kernel import cholesky_or_raise
+from .kernel import KernelRows, cholesky_or_raise
 
 KINDS = ("gcmi", "fl1mi", "fl2mi", "logdetmi", "gcmi_div", "fl", "gc", "logdet", "dsum")
 
@@ -40,6 +40,10 @@ KERNEL_REQUIREMENTS = {
 # increasing-gain counterexamples on valid PSD kernels, so its bounds are
 # unsound too.
 SUBMODULAR_KINDS = frozenset(KINDS) - {"dsum", "gcmi_div", "logdetmi"}
+
+# Kinds that read the pool kernel only through row(j) of committed indices, diagonal() and
+# evaluate's block(indices), so their s_uu may be a kernel.KernelRows.
+ROW_KINDS = frozenset({"logdetmi", "gcmi_div", "logdet", "dsum"})
 
 PAD_COLUMNS = 64  # see CholeskyResiduals.__init__
 # A log-det candidate is a pivot while its Schur residual d, in every kernel,
@@ -82,6 +86,8 @@ class ObjectiveSpec:
                 raise ConfigurationError(f"objective {self.kind!r} requires the {name} kernel")
         if self.s_uu is not None and not self.s_uu.symmetric:
             raise ConfigurationError("pool kernel must be symmetric")
+        if isinstance(self.s_uu, KernelRows) and self.kind not in ROW_KINDS:
+            raise ConfigurationError(f"objective {self.kind!r} reads the whole pool kernel")
         if self.s_tt is not None and not self.s_tt.symmetric:
             raise ConfigurationError("target kernel must be symmetric")
         if self.s_uu is not None and self.s_ut is not None:
@@ -178,11 +184,11 @@ class _RunningSum(Objective):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.uu = spec.s_uu.values
+        self.uu = spec.s_uu
         self.sel_sim = np.zeros(self.n)
 
     def _commit(self, a):
-        self.sel_sim += self.uu[a]
+        self.sel_sim += self.uu.row(a)
 
 
 class GraphCutMI(Objective):
@@ -251,17 +257,17 @@ class _ResidualLogDet(Objective):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.uu = spec.s_uu.values
+        self.uu = spec.s_uu
         self.eps = spec.ridge
         diag = self.uu.diagonal() + self.eps
-        # partials over arrays, not bound methods: a reference back to self
+        # partials over kernels and arrays, not bound methods: a reference back to self
         # would keep every kernel alive until the cyclic garbage collector ran
         self.residuals = [CholeskyResiduals(partial(_ridged_column, self.uu, self.eps), diag,
                                             "pool kernel", PIVOT_TOL * diag)]
         self.synced = None  # the selection size that self.logs reflects
 
     def _evaluate(self, indices):
-        s_a = self.uu[np.ix_(indices, indices)] + self.eps * np.eye(len(indices))
+        s_a = self.uu.block(indices) + self.eps * np.eye(len(indices))
         return float(_logdet(s_a, PIVOT_TOL * s_a.diagonal(), "pool kernel"))
 
     def gains_at(self, idx):
@@ -321,7 +327,7 @@ class LogDetMI(_ResidualLogDet):
             self.remark = "; eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite"
 
     def _evaluate(self, indices):
-        cond = self.uu[np.ix_(indices, indices)] - self.spec.eta**2 * (
+        cond = self.uu.block(indices) - self.spec.eta**2 * (
             self.w[:, indices].T @ self.w[:, indices])
         cond[np.diag_indices_from(cond)] += self.eps
         return super()._evaluate(indices) - float(
@@ -349,14 +355,12 @@ class GraphCut(_RunningSum):
 
     def __init__(self, spec):
         super().__init__(spec)
-        self.colsum = self.uu.sum(axis=0)
+        self.colsum = spec.s_uu.values.sum(axis=0)
         self.diag = self.uu.diagonal()
 
     def _evaluate(self, indices):
         idx = np.asarray(indices)
-        return float(
-            self.colsum[idx].sum() - self.spec.lambda_gc * self.uu[np.ix_(idx, idx)].sum()
-        )
+        return float(self.colsum[idx].sum() - self.spec.lambda_gc * self.uu.block(idx).sum())
 
     def gains_at(self, idx):
         return self.colsum[idx] - self.spec.lambda_gc * (2.0 * self.sel_sim[idx] + self.diag[idx])
@@ -376,7 +380,7 @@ class DisparitySum(_RunningSum):
     def _evaluate(self, indices):
         idx = np.asarray(indices)
         k = len(idx)
-        return float(k * (k - 1) / 2.0 - np.triu(self.uu[np.ix_(idx, idx)], 1).sum())
+        return float(k * (k - 1) / 2.0 - np.triu(self.uu.block(idx), 1).sum())
 
     def gains_at(self, idx):
         return len(self.selected) - self.sel_sim[idx]
@@ -408,7 +412,8 @@ class CholeskyResiduals:
     committed set A with lower Cholesky factor L, it keeps E = L^-1 K[A, :],
     one row per committed index, and d_i = K_ii - |E[:, i]|^2, so that
     log d_i = log det K[A + i] - log det K[A]. Folding in one committed index
-    costs one kernel column and O(n |A|); K itself is never materialized.
+    costs one kernel column and O(n |A|), and K is read only by those columns:
+    with a pool kernel served by rows (kernel.KernelRows) it is never built.
     It is the only factor state of logdet and logdetmi: their scalar gains,
     batched gains and commits all read it, and commits are folded in lazily,
     by the next sync.
@@ -463,7 +468,7 @@ def _logdet(m, floor, name, remark=""):
 
 def _ridged_column(kernel, eps, j):
     """Column j of a symmetric kernel plus eps I, as a new array."""
-    col = kernel[j].copy()
+    col = kernel.row(j).copy()
     col[j] += eps
     return col
 

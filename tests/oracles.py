@@ -239,7 +239,7 @@ class SolveLogDet:
     def __init__(self, spec):
         obj = build_objective(spec)
         self.n = obj.n
-        uu, eps = obj.uu, obj.eps
+        uu, eps = spec.s_uu.values, obj.eps
         # (column K[A, a], diagonal, block K[A, A]) per kernel; the pool
         # kernel's factor grows by one row per commit and needs no block
         self.kernels = [(lambda sel, a: uu[sel, a], uu.diagonal() + eps, None)]
@@ -342,7 +342,7 @@ class ExactLogDet:
         obj = build_objective(spec)
         self.n = obj.n
         eps = Fraction(obj.eps)
-        uu = [[Fraction(x) for x in row] for row in obj.uu.tolist()]
+        uu = [[Fraction(x) for x in row] for row in spec.s_uu.values.tolist()]
         pool = [[x + eps * (a == b) for b, x in enumerate(row)] for a, row in enumerate(uu)]
         self.kernels = [pool]
         if spec.kind == "logdetmi":

@@ -241,6 +241,12 @@ class TestOuterProducts:
         with pytest.raises(DataFormatError, match=message):
             FeatureMatrix.outer(r, x)
 
+    def test_repr_builds_no_values(self):
+        m = FeatureMatrix.outer(np.ones((2, 1)), np.ones((2, 2)))
+        assert repr(m) == "FeatureMatrix(2 x 2, outer)"
+        assert "values" not in vars(m)
+        assert repr(FeatureMatrix(np.ones((3, 4)))) == "FeatureMatrix(3 x 4)"
+
     def test_values_built_on_first_read(self):
         rng = np.random.default_rng(1)
         r, x = rng.standard_normal((7, 4)), rng.standard_normal((7, 5))
@@ -299,3 +305,14 @@ class TestOuterProducts:
                 FeatureMatrix.outer(r, x)
         else:
             assert np.isfinite(FeatureMatrix.outer(r, x).values).all()
+
+
+@pytest.mark.parametrize("make", [lambda: FeatureMatrix(np.eye(2)),
+                                  lambda: FeatureMatrix.outer(np.eye(2), np.eye(2)),
+                                  lambda: ProbabilityMatrix(np.eye(2))],
+                         ids=["features", "outer", "probabilities"])
+def test_matrices_compare_by_identity(make):
+    # == of two arrays has no single truth value, so containers compare by identity
+    a, b = make(), make()
+    assert a == a and not a == b and a != b
+    assert len({a, b, a}) == 2

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from targetsel.errors import ConfigurationError, DivergenceError
 from targetsel.harness import (
     METHODS,
     ExperimentConfig,
+    KernelCache,
     LabeledSplit,
     ToyModel,
     config_from_dict,
@@ -259,6 +262,50 @@ class TestEmbeddingValuesStayUnbuilt:
         run_experiment(SMALL, list(METHODS))
         assert len(made) == 2 * len(SMALL.seeds)
         assert not any("values" in vars(m) for m in made)
+
+
+class TestPoolKernelRows:
+    """The kinds that read few pool-kernel rows read them from the factors (kernel.KernelRows)
+    at the protocol's small budgets, so no n x n pool kernel is built for them."""
+
+    @pytest.fixture
+    def embeddings(self):
+        data = synthetic_generate(SMALL, 0)
+        base = train_softmax(data.train, SMALL)
+        return (gradient_embeddings(base, data.lake.x),
+                gradient_embeddings(base, data.target.x, data.target.y))
+
+    @pytest.mark.parametrize("method", ["logdetmi", "gcmi_div", "logdet", "dsum"])
+    def test_no_square_pool_kernel_is_built(self, embeddings, method, monkeypatch):
+        shapes, build = [], harness.build_kernel
+        monkeypatch.setattr(harness, "build_kernel",
+                            lambda *args: shapes.append(build(*args).shape) or build(*args))
+        kernels = KernelCache(*embeddings)
+        select_indices(method, SMALL, *embeddings, None, 0, kernels)
+        assert (SMALL.lake_size, SMALL.lake_size) not in shapes and "uu" not in kernels._built
+
+    @pytest.mark.parametrize("method", ["logdetmi", "gcmi_div", "logdet", "dsum"])
+    def test_rows_die_with_their_selection(self, embeddings, method, monkeypatch):
+        # no reference cycle keeps the rows alive until the cyclic collector runs
+        made, rows = [], harness.KernelRows
+        monkeypatch.setattr(harness, "KernelRows", lambda *args: made.append(rows(*args)) or made[-1])
+        kernels = KernelCache(*embeddings)
+        gc.disable()
+        try:
+            select_indices(method, SMALL, *embeddings, None, 0, kernels)
+            made = [weakref.ref(r) for r in made]
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+
+    def test_rows_ignore_a_built_pool_kernel(self, embeddings):
+        # what a selection reads does not depend on what the shared cache already holds
+        fresh = select_indices("logdet", SMALL, *embeddings, None, 0, KernelCache(*embeddings))
+        shared = KernelCache(*embeddings)
+        select_indices("fl1mi", SMALL, *embeddings, None, 0, shared)
+        after = select_indices("logdet", SMALL, *embeddings, None, 0, shared)
+        assert "uu" in shared._built
+        assert (after.selected, after.gains) == (fresh.selected, fresh.gains)
 
 
 class TestRunExperiment:

@@ -369,3 +369,76 @@ class TestCallerArray:
         v = SimilarityKernel(m).values
         assert v.flags.c_contiguous and not v.flags.writeable
         assert np.array_equal(v, m)
+
+
+class TestKernelRows:
+    """KernelRows serves the within-set kernel by rows computed from the factors: each row
+    agrees with build_kernel's to a few ulps, the rows are exactly symmetric with the
+    diagonal they share, and every row is checked as it is computed."""
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
+    @pytest.mark.parametrize("n", (1, 7, TILE + 5))
+    @pytest.mark.parametrize("factored", [True, False], ids=["factored", "plain"])
+    def test_rows_match_built_kernel(self, cfg, n, factored):
+        for seed in range(3):
+            a = outer_pair(seed, n)[0 if factored else 1]
+            rows = kernel.KernelRows(a, cfg)
+            order = np.random.default_rng(seed).permutation(n)  # rows in any order
+            got = np.empty((n, n))
+            for j in order:
+                got[j] = rows.row(j)
+            assert rows.shape == (n, n) and rows.symmetric
+            assert got.tobytes() == got.T.tobytes()
+            assert rows.diagonal().tobytes() == np.diag(got).tobytes()
+            if cfg.metric == "cosine":
+                assert np.all(rows.diagonal() == 1.0)
+            assert_within_ulps(got, build_kernel(a, a, cfg).values, a, a, cfg.metric)
+            idx = order[: (n + 1) // 2]
+            assert rows.block(idx).tobytes() == got[np.ix_(idx, idx)].tobytes()
+
+    def test_rows_are_cached_read_only_and_repr_builds_nothing(self):
+        a, _ = outer_pair(0, 9)
+        rows = kernel.KernelRows(a)
+        repr(rows)
+        assert not rows._at
+        first = rows.row(4)
+        assert not first.flags.writeable
+        assert rows.row(4).tobytes() == first.tobytes() and list(rows._at) == [4]
+
+    def test_zero_norm_row_raises_on_construction(self):
+        with pytest.raises(DegenerateFeatureError, match="zero-norm row 1 in left matrix"):
+            kernel.KernelRows(fm([[1, 0], [0, 0]]))
+
+    def test_non_finite_diagonal_raises_on_construction(self):
+        with pytest.raises(ShapeError, match="kernel contains non-finite entries"):
+            kernel.KernelRows(fm([[1e200, 0], [0, 1]]), KernelConfig(metric="dot"))
+
+    def test_non_finite_row_raises(self):
+        rows = kernel.KernelRows(fm([[1, 0], [1, 1], [0, 1]]), KernelConfig(metric="dot"))
+        rows._factors = (np.array([[1e200, 0], [1e200, 1], [0, 1]]),)
+        with pytest.raises(ShapeError, match="kernel contains non-finite entries"):
+            rows.row(1)
+        assert not rows._at
+
+    def test_asymmetric_pair_raises(self):
+        rows = kernel.KernelRows(fm([[1, 0], [1, 1], [0, 1]]))
+        rows.row(0)
+        rows._rows[0, 2] += 1e-16  # row 0's entry 2 no longer equals row 2's entry 0
+        with pytest.raises(ShapeError, match="symmetric flag set on a non-symmetric matrix"):
+            rows.row(2)
+        rows.row(1)  # row 0's entry 1 is untouched
+
+    def test_rows_beyond_memory_limit_raise(self, monkeypatch):
+        a = fm(np.random.default_rng(0).standard_normal((20, 3)))
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 8 * 20)  # 8 rows, not 16
+        rows = kernel.KernelRows(a)
+        for j in range(8):
+            rows.row(j)
+        with pytest.raises(SizeError, match="a 16 x 20 block of kernel rows needs 2560 bytes"):
+            rows.row(8)
+
+    def test_rule_weighs_budget_by_total_factor_width(self):
+        a, plain = outer_pair(0, 40)  # factor widths 10 + 65, or 650 plain
+        top = kernel.ROWS_WIDTH * 40
+        assert kernel.rows_pay(top // 75, a) and not kernel.rows_pay(top // 75 + 1, a)
+        assert kernel.rows_pay(top // 650, plain) and not kernel.rows_pay(top // 650 + 1, plain)

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import types
 import zlib
 
 import numpy as np
@@ -15,19 +16,20 @@ from oracles import (
     eval_reference,
     random_kernels,
 )
-from targetsel import harness
+from targetsel import harness, kernel
 from targetsel.datastore import FeatureMatrix
 from targetsel.errors import ConfigurationError, IndefiniteKernelError
 from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel, cholesky_or_raise
 from targetsel.objectives import (
     KINDS,
     PIVOT_TOL,
+    ROW_KINDS,
     CholeskyResiduals,
     ObjectiveSpec,
     build_objective,
     evaluate,
 )
-from targetsel.optimizer import TIE_TOL, _lazy_greedy, _naive_greedy
+from targetsel.optimizer import TIE_TOL, _lazy_greedy, _naive_greedy, greedy_maximize
 
 UT = SimilarityKernel(np.array([[0.5, 0.2], [0.1, 0.4]]))
 UU3 = SimilarityKernel(np.array([[1.0, 0.1, 0.1], [0.1, 1.0, 0.1], [0.1, 0.1, 1.0]]),
@@ -648,3 +650,56 @@ class TestExactLogDet:
                 assert ref.gain(a) == pytest.approx(expected, rel=1e-9, abs=1e-9)
                 ref.commit(a)
             assert ref.value == pytest.approx(value(ref.selected), rel=1e-9, abs=1e-9)
+
+
+class TestKernelRowsObjectives:
+    """The kinds in ROW_KINDS read the pool kernel only by row, diagonal and block, so the
+    pool kernel served by rows (kernel.KernelRows) must give the built kernel's selections,
+    gains within TIE_TOL, and from-scratch values that match the reference formulas."""
+
+    @staticmethod
+    def pool_and_target(seed, n, d):
+        rng = np.random.default_rng(seed)
+        return (FeatureMatrix(rng.standard_normal((n, d))),
+                FeatureMatrix(rng.standard_normal((4, d))))
+
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    @pytest.mark.parametrize("budget,side", [(10, "rows"), (11, "uu")])
+    def test_select_indices_matches_built_kernel(self, kind, budget, side):
+        # 30 rows of width 3 * ROWS_WIDTH: rows pay up to budget 10, the built kernel above
+        params = dict(eta=1.0, gamma=0.7, lambda_gc=0.5, ridge=1e-6)
+        cfg = types.SimpleNamespace(budget=budget, **params)
+        for seed in range(5):
+            pool, target = self.pool_and_target(seed, 30, 3 * kernel.ROWS_WIDTH)
+            kernels = harness.KernelCache(pool, target)
+            got = harness.select_indices(kind, cfg, pool, target, None, seed, kernels)
+            assert ("uu" in kernels._built) == (side == "uu")
+            full = greedy_maximize(ObjectiveSpec(kind, **{
+                f"s_{name}": build_kernel(*{"uu": (pool, pool), "ut": (pool, target),
+                                            "tt": (target, target)}[name])
+                for name in _needs(kind)}, **params), budget)
+            assert got.selected == full.selected, (kind, seed)
+            assert max(abs(a - b) for a, b in zip(got.gains, full.gains)) <= TIE_TOL
+            assert got.total_value == pytest.approx(full.total_value, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", sorted(ROW_KINDS))
+    def test_evaluate_on_rows_matches_reference(self, kind):
+        rng = np.random.default_rng(11)
+        for seed in range(6):
+            pool, target = self.pool_and_target(seed, 8, 6)
+            uu, ut, tt = (build_kernel(a, b) for a, b in
+                          ((pool, pool), (pool, target), (target, target)))
+            spec = ObjectiveSpec(kind, s_uu=kernel.KernelRows(pool),
+                                 s_ut=ut if "ut" in _needs(kind) else None,
+                                 s_tt=tt if "tt" in _needs(kind) else None,
+                                 gamma=0.7, ridge=1e-3)
+            subset = list(rng.permutation(8)[:int(rng.integers(1, 6))])
+            want = eval_reference(kind, subset, uu=uu.values, ut=ut.values, tt=tt.values,
+                                  gamma=0.7, eps=1e-3)
+            assert evaluate(spec, subset) == pytest.approx(want, rel=1e-8, abs=1e-8)
+
+    @pytest.mark.parametrize("kind", sorted(set(KINDS) - ROW_KINDS - {"gcmi", "fl2mi"}))
+    def test_whole_kernel_kinds_reject_rows(self, kind):
+        pool, target = self.pool_and_target(0, 5, 3)
+        with pytest.raises(ConfigurationError, match="reads the whole pool kernel"):
+            ObjectiveSpec(kind, s_uu=kernel.KernelRows(pool), s_ut=build_kernel(pool, target))

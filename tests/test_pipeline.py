@@ -117,6 +117,17 @@ class TestSelectCommand:
         assert code == 2
         assert "a 3 x 3 kernel needs 72 bytes" in capsys.readouterr().err
 
+    def test_dsum_reads_rows_of_a_kernel_beyond_memory(self, tmp_path, monkeypatch):
+        # a 40-row pool whose 40 x 40 kernel is over the limit, but not 8 of its rows
+        rows = np.random.default_rng(0).standard_normal((40, 2))
+        pool = write(tmp_path / "pool40.csv", "\n".join(f"{a!r},{b!r}" for a, b in rows.tolist()))
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 40 * 40 - 1)
+        out = tmp_path / "dsum.json"
+        code = main(["select", "--method", "dsum", "--budget", "3", "--unlabeled", pool,
+                     "--out", str(out)])
+        assert code == 0 and len(json.loads(out.read_text())["selected"]) == 3
+        assert main(["select", "--method", "fl", "--budget", "3", "--unlabeled", pool]) == 2
+
     def test_random_zero_budget(self, pool_file, tmp_path):
         out = tmp_path / "r.json"
         code = main(["select", "--method", "random", "--budget", "0",
