@@ -272,16 +272,16 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None)
     """Dispatch one selection method over the lake. Returns a SelectionResult;
     every method clamps the budget to the lake and flags a clamped one truncated."""
     kernels = kernels or KernelCache(lake_emb, target_emb)
+    k = min(cfg.budget, lake_emb.rows)
     if method in KINDS:
         # Where rows pay, the kinds that read few pool-kernel rows get rows of their own, which
         # go with the selection: no kernel the cache holds changes what they read.
-        rows = method in ROW_KINDS and rows_pay(min(cfg.budget, lake_emb.rows), lake_emb)
-        spec = ObjectiveSpec(method, **{f"s_{name}": KernelRows(lake_emb, kernels.kcfg)
+        rows = method in ROW_KINDS and rows_pay(k, lake_emb)
+        spec = ObjectiveSpec(method, **{f"s_{name}": KernelRows(lake_emb, kernels.kcfg, k)
                                         if rows and name == "uu" else kernels.get(name)
                                         for name in KERNEL_REQUIREMENTS[method]},
                              eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge)
         return greedy_maximize(spec, cfg.budget)
-    k = min(cfg.budget, lake_emb.rows)
     if method == "random":
         result = baselines.random_select(lake_emb.rows, k, seed)
     elif method == "us":

@@ -49,9 +49,9 @@ MEMORY_LIMIT = _physical_memory()
 # A within-set kernel is served by rows while budget * total factor width is at most
 # ROWS_WIDTH * rows: k rows cost about k * n * width, one n x n build about n^2 * (a + b * width),
 # so the budget up to which rows are cheaper falls with the width. The README's crossover table
-# (dsum, n = 2000) puts it near k = 250 for 10+65-wide factors (250 * 75 / 2000 = 9.4) and near
-# k = 60-100 for 650-wide plain rows (20-33); the smaller bound keeps rows off both crossovers.
-ROWS_WIDTH = 9
+# (dsum, n = 2000) puts it near k = 375-400 for 10+65-wide factors (375 * 75 / 2000 = 14.1) and
+# near k = 125-150 for 650-wide plain rows (41-49); the smaller bound keeps rows off both.
+ROWS_WIDTH = 14
 
 
 def _check_size(rows, cols, what):
@@ -119,19 +119,18 @@ class SimilarityKernel:
 
 class KernelRows:
     """The within-set kernel of a feature matrix, with SimilarityKernel's shape, symmetric, row,
-    diagonal and block, but never built: each row is computed from the prepared factors when
-    first read, and cached. Row j is the epilogue of the product over the factors f of f @ f[j],
-    its entry j first set to the diagonal's (exactly 1 under cosine): within a few ulps of
-    build_kernel's row, not bitwise. numpy's einsum sums every row in one order, so row i's
-    entry j equals row j's entry i (a BLAS matrix-vector product does not promise that), and
-    each new row is checked for finiteness and against that entry of every row before it.
-    """
+    diagonal and block, but never built. Row j, when first read, is the epilogue of the product
+    over the factors f of the BLAS product f @ f[j], its entry j the diagonal's: within a few
+    ulps of build_kernel's row, not bitwise. It is checked finite, takes its entry at each row
+    served before it from that row (BLAS may sum (i, j) and (j, i) in different orders), so the
+    rows are exactly symmetric, and is kept in one store of `budget` rows at first (grow_rows)."""
 
     symmetric = True
 
-    def __init__(self, a, cfg=KernelConfig()):
+    def __init__(self, a, cfg=KernelConfig(), budget=8):
         self._factors = _prepare_factors(a.factors or (a.values,), cfg.metric, "left")
         self._cfg = cfg
+        self._budget = budget
         n = a.rows
         self.shape = (n, n)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries raise below
@@ -158,27 +157,34 @@ class KernelRows:
         return self._rows[np.ix_(at, indices)]
 
     def _position(self, j):
-        """Where row j is kept, computing and checking it first if it is new."""
+        """Where row j is kept, computing it first if it is new."""
         t = self._at.get(j)
         if t is not None:
             return t
-        t, n = len(self._at), self.shape[0]
+        t = len(self._at)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-            g = np.einsum("ij,j->i", self._factors[0], self._factors[0][j])
+            g = self._factors[0] @ self._factors[0][j]
             for f in self._factors[1:]:
-                g *= np.einsum("ij,j->i", f, f[j])
+                g *= f @ f[j]
         g[j] = self._raw[j]
         _epilogue(g, self._cfg)
         if not np.isfinite(g).all():
             raise ShapeError("kernel contains non-finite entries")
-        if not np.array_equal(g[list(self._at)], self._rows[:t, j]):
-            raise ShapeError("symmetric flag set on a non-symmetric matrix")
+        g[list(self._at)] = self._rows[:t, j]
         if t == len(self._rows):
-            cap = min(max(8, 2 * t), n)
-            _check_size(cap, n, "block of kernel rows")
-            self._rows = np.concatenate([self._rows, np.empty((cap - t, n))])
+            self._rows = grow_rows(self._rows, self._budget, self.shape[0], "block of kernel rows")
         self._rows[t], self._at[j] = g, t
         return t
+
+
+def grow_rows(store, first, cap, what):
+    """store's rows in a zero-filled array of first rows (at least one) if it has none, else of
+    twice its rows, at most cap; SizeError, before allocating, beyond MEMORY_LIMIT."""
+    size = min(max(first, 2 * len(store), 1), cap)
+    _check_size(size, store.shape[1], what)
+    grown = np.zeros((size, store.shape[1]))
+    grown[:len(store)] = store
+    return grown
 
 
 def rows_pay(budget, a):
@@ -196,14 +202,6 @@ def _tiles(v, mirror):
             yield v[rows], None
         for j in range(i, len(v) if mirror else i, TILE):
             yield v[rows, j:j + TILE], v[j:j + TILE, rows]
-
-
-def _check_norms(norms, which):
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateFeatureError(
-            f"zero-norm row {zero[0]} in {which} matrix under cosine metric"
-        )
 
 
 def _equal_rows(a, b):
@@ -224,7 +222,9 @@ def _prepare_factors(factors, metric, which):
     if metric != "cosine":
         return factors
     norms = [np.linalg.norm(f, axis=1) for f in factors]
-    _check_norms(np.minimum.reduce(norms), which)
+    zero = np.flatnonzero(np.minimum.reduce(norms) == 0.0)
+    if zero.size:
+        raise DegenerateFeatureError(f"zero-norm row {zero[0]} in {which} matrix under cosine metric")
     return tuple(f / nf[:, None] for f, nf in zip(factors, norms))
 
 

@@ -18,21 +18,21 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, IndefiniteKernelError
-from .kernel import KernelRows, cholesky_or_raise
+from .kernel import KernelRows, cholesky_or_raise, grow_rows
 
 KINDS = ("gcmi", "fl1mi", "fl2mi", "logdetmi", "gcmi_div", "fl", "gc", "logdet", "dsum")
 
-# Which of the pool/pool, pool/target, target/target kernels each kind needs.
+# Which of the pool/pool, pool/target, target/target kernels each kind needs, made in this order.
 KERNEL_REQUIREMENTS = {
-    "gcmi": frozenset({"ut"}),
-    "fl1mi": frozenset({"uu", "ut"}),
-    "fl2mi": frozenset({"ut"}),
-    "logdetmi": frozenset({"uu", "ut", "tt"}),
-    "gcmi_div": frozenset({"ut", "uu"}),
-    "fl": frozenset({"uu"}),
-    "gc": frozenset({"uu"}),
-    "logdet": frozenset({"uu"}),
-    "dsum": frozenset({"uu"}),
+    "gcmi": ("ut",),
+    "fl1mi": ("uu", "ut"),
+    "fl2mi": ("ut",),
+    "logdetmi": ("uu", "ut", "tt"),
+    "gcmi_div": ("uu", "ut"),
+    "fl": ("uu",),
+    "gc": ("uu",),
+    "logdet": ("uu",),
+    "dsum": ("uu",),
 }
 
 # Kinds whose greedy gains are safe for lazy (stale-bound) evaluation.
@@ -56,9 +56,11 @@ PIVOT_TOL = 1e-10  # at least four decades inside each end
 
 
 def check_parameters(eta, gamma, lambda_gc, ridge):
-    """Reject a negative or non-finite eta, gamma or ridge, or lambda_gc outside [0, 1]."""
+    """Reject a negative or non-finite eta, gamma or ridge or eta^2, or lambda_gc outside [0, 1]."""
     if not (np.all(np.isfinite([eta, gamma, ridge])) and min(eta, gamma, ridge) >= 0):
         raise ConfigurationError("eta, gamma and ridge must be finite and nonnegative")
+    if float(eta) * float(eta) == float("inf"):  # where eta ** 2 raises OverflowError
+        raise ConfigurationError(f"eta = {eta!r} is too large: its square is not finite")
     if not 0.0 <= lambda_gc <= 1.0:
         raise ConfigurationError("lambda_gc must lie in [0, 1]")
 
@@ -80,9 +82,8 @@ class ObjectiveSpec:
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown objective kind {self.kind!r}")
         check_parameters(self.eta, self.gamma, self.lambda_gc, self.ridge)
-        kernels = {"uu": self.s_uu, "ut": self.s_ut, "tt": self.s_tt}
         for name in KERNEL_REQUIREMENTS[self.kind]:
-            if kernels[name] is None:
+            if getattr(self, f"s_{name}") is None:
                 raise ConfigurationError(f"objective {self.kind!r} requires the {name} kernel")
         if self.s_uu is not None and not self.s_uu.symmetric:
             raise ConfigurationError("pool kernel must be symmetric")
@@ -414,6 +415,7 @@ class CholeskyResiduals:
     log d_i = log det K[A + i] - log det K[A]. Folding in one committed index
     costs one kernel column and O(n |A|), and K is read only by those columns:
     with a pool kernel served by rows (kernel.KernelRows) it is never built.
+    E is one zero-filled store of rows, doubled from 8 rows by kernel.grow_rows.
     It is the only factor state of logdet and logdetmi: their scalar gains,
     batched gains and commits all read it, and commits are folded in lazily,
     by the next sync.
@@ -445,9 +447,7 @@ class CholeskyResiduals:
             e -= (self.rows[:t, j] @ self.rows[:t])[:n]
             e /= np.sqrt(self.d[j])
             if t == len(self.rows):
-                grown = np.zeros((max(8, 2 * t), self.width))
-                grown[:t] = self.rows
-                self.rows = grown
+                self.rows = grow_rows(self.rows, 8, n, "block of Schur residual rows")
             self.rows[t, :n] = e
             self.d -= e * e
             self.t += 1

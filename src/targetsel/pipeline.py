@@ -50,7 +50,7 @@ class RunManifest:
 
 
 def _needs_target(method):
-    return method == "tus" or bool({"ut", "tt"} & KERNEL_REQUIREMENTS.get(method, set()))
+    return method == "tus" or bool({"ut", "tt"}.intersection(KERNEL_REQUIREMENTS.get(method, ())))
 
 
 def _load_target(manifest):

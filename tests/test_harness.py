@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from oracles import train_softmax_reference
-from targetsel import harness
+from targetsel import harness, kernel
 from targetsel.baselines import random_select
 from targetsel.datastore import ProbabilityMatrix
 from targetsel.errors import ConfigurationError, DivergenceError
@@ -297,6 +297,21 @@ class TestPoolKernelRows:
             assert len(made) == 1 and made[0]() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("method", ["logdetmi", "gcmi_div", "logdet", "dsum"])
+    def test_row_store_is_allocated_once(self, embeddings, method, monkeypatch):
+        # the store's first block holds the budget's 12 rows (a store started at 8 rows
+        # would grow once), so a selection allocates it once and never copies it
+        cfg = dataclasses.replace(SMALL, budget=12)
+        made, rows, stores, grow = [], harness.KernelRows, [], kernel.grow_rows
+        monkeypatch.setattr(harness, "KernelRows",
+                            lambda *args: made.append(rows(*args)) or made[-1])
+        monkeypatch.setattr(kernel, "grow_rows",
+                            lambda *args: stores.append(grow(*args)) or stores[-1])
+        result = select_indices(method, cfg, *embeddings, None, 0, KernelCache(*embeddings))
+        assert len(result.selected) == 12 and len(made) == 1 and len(made[0]._at) <= 12
+        assert len(stores) == 1 and made[0]._rows is stores[0]
+        assert stores[0].shape == (12, SMALL.lake_size)
 
     def test_rows_ignore_a_built_pool_kernel(self, embeddings):
         # what a selection reads does not depend on what the shared cache already holds

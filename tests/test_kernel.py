@@ -420,22 +420,41 @@ class TestKernelRows:
             rows.row(1)
         assert not rows._at
 
-    def test_asymmetric_pair_raises(self):
-        rows = kernel.KernelRows(fm([[1, 0], [1, 1], [0, 1]]))
-        rows.row(0)
-        rows._rows[0, 2] += 1e-16  # row 0's entry 2 no longer equals row 2's entry 0
-        with pytest.raises(ShapeError, match="symmetric flag set on a non-symmetric matrix"):
-            rows.row(2)
-        rows.row(1)  # row 0's entry 1 is untouched
+    def test_served_pairs_are_byte_equal_in_any_order(self):
+        # at these sizes BLAS sums row i's entry j and row j's entry i in different orders;
+        # a new row takes its entries at the rows served before it, whatever the order
+        for n, seed in itertools.product((7, TILE + 5), range(4)):
+            for a in outer_pair(1, n):  # factored and plain
+                rows = kernel.KernelRows(a, budget=3)
+                order = np.random.default_rng(seed).permutation(n)[: n // 2 + 1]
+                for j in order:
+                    rows.row(j)
+                served = np.stack([rows.row(j) for j in order])[:, order]
+                assert served.tobytes() == served.T.tobytes()
+                assert np.diag(served).tobytes() == rows.diagonal()[order].tobytes()
+
+    def test_first_block_holds_the_budget(self):
+        a, _ = outer_pair(0, 30)
+        rows = kernel.KernelRows(a, budget=12)
+        rows.row(29)
+        store = rows._rows
+        for j in range(11):
+            rows.row(j)
+        assert rows._rows is store and store.shape == (12, 30) and len(rows._at) == 12
+        rows.row(11)  # the 13th row doubles the store
+        assert rows._rows.shape == (24, 30)
+        assert rows._rows[:12].tobytes() == store.tobytes() and not rows._rows[13:].any()
 
     def test_rows_beyond_memory_limit_raise(self, monkeypatch):
+        # the first block holds the budget's 6 rows, the next 12, the next all 20 (not 24)
         a = fm(np.random.default_rng(0).standard_normal((20, 3)))
-        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 8 * 20)  # 8 rows, not 16
-        rows = kernel.KernelRows(a)
-        for j in range(8):
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 12 * 20)  # 12 rows, not 20
+        rows = kernel.KernelRows(a, budget=6)
+        for j in range(12):
             rows.row(j)
-        with pytest.raises(SizeError, match="a 16 x 20 block of kernel rows needs 2560 bytes"):
-            rows.row(8)
+        assert rows._rows.shape == (12, 20)
+        with pytest.raises(SizeError, match="a 20 x 20 block of kernel rows needs 3200 bytes"):
+            rows.row(12)
 
     def test_rule_weighs_budget_by_total_factor_width(self):
         a, plain = outer_pair(0, 40)  # factor widths 10 + 65, or 650 plain

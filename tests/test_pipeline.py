@@ -38,18 +38,18 @@ def probs_file(tmp_path):
     return write(tmp_path / "probs.csv", "0.5,0.5\n1.0,0.0\n0.8,0.2\n")
 
 
-def run_python(args):
+def run_python(args, **env):
     # The child process imports the same targetsel as these tests, installed or not.
     src = os.path.dirname(os.path.dirname(targetsel.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
 
 
-def run_cli(args):
-    return run_python(["-m", "targetsel", *args])
+def run_cli(args, **env):
+    return run_python(["-m", "targetsel", *args], **env)
 
 
 def test_import_leaves_scipy_unloaded():
@@ -195,6 +195,28 @@ class TestSelectCommand:
         assert proc.stderr.startswith("numerical error: ") and "rank reached is 2;" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_eta_whose_square_overflows_is_a_config_error(self, pool_file, target_file):
+        # eta ** 2 raises OverflowError beyond about 1.3e154; 1e150 is still accepted
+        args = ["select", "--method", "logdetmi", "--budget", "1", "--unlabeled", pool_file,
+                "--target", target_file, "--eta"]
+        proc = run_cli(args + ["1e200"])
+        assert proc.returncode == 3 and "Traceback" not in proc.stderr
+        assert proc.stderr == ("configuration error: eta = 1e+200 is too large: "
+                               "its square is not finite\n")
+        assert run_cli(args + ["1e150"]).returncode == 4
+
+    def test_error_text_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # both the pool (row 1) and the target (row 0) have a zero-norm row: the pool kernel
+        # is made first under every hash seed, so the pool's row is the one reported
+        pool = write(tmp_path / "pool.csv", "1.0,0.0\n0.0,0.0\n0.0,1.0\n")
+        target = write(tmp_path / "target.csv", "0.0,0.0\n1.0,1.0\n")
+        args = ["select", "--method", "logdetmi", "--budget", "1", "--unlabeled", pool,
+                "--target", target]
+        procs = [run_cli(args, PYTHONHASHSEED=seed) for seed in ("0", "3")]
+        assert [p.returncode for p in procs] == [2, 2]
+        assert procs[0].stderr == procs[1].stderr == (
+            "input error: zero-norm row 1 in left matrix under cosine metric\n")
+
     def test_logdetmi_eta_above_one_names_eta(self, pool_file, target_file):
         # eta^2 times each pool row's target term exceeds its diagonal at
         # eta = 2, so no candidate is a pivot of the conditioned kernel
@@ -316,7 +338,7 @@ class TestManifestErrors:
                                             ("--gamma", "-1"), ("--lambda-gc", "1.5"),
                                             ("--eta", "nan"), ("--gamma", "nan"),
                                             ("--ridge", "inf"), ("--budget", "-1"),
-                                            ("--seed", "-1")])
+                                            ("--seed", "-1"), ("--eta", "1e200")])
     def test_bad_parameter_rejected_before_reading_input(self, tmp_path, capsys, flag, value):
         missing = str(tmp_path / "missing.csv")
         assert main(["select", "--method", "logdetmi", "--unlabeled", missing,
@@ -412,7 +434,7 @@ class TestExperimentCommand:
         '{"budget": -1}', '{"max_epochs": -1}', '{"learn_rate": -1.0}', '{"feature_dim": 5}',
         '{"lake_size": 5}', '{"methods": 5}', '{"class_separation": NaN}',
         '{"pair_separation": NaN}', '{"train_acc_threshold": NaN}',
-        '{"num_classes": 3, "feature_dim": 3}',
+        '{"num_classes": 3, "feature_dim": 3}', '{"eta": 1e160}',
     ])
     def test_bad_config_rejected_before_generating(self, tmp_path, capsys, monkeypatch, text):
         monkeypatch.setattr(harness, "synthetic_generate", _never_called)
