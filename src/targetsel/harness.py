@@ -174,6 +174,7 @@ def predict_proba(model, x):
     return _softmax(_with_bias(x) @ model.weights.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence raises DivergenceError
 def train_softmax(split, cfg):
     """Full-batch gradient descent on cross-entropy from zero-initialized weights.
 

@@ -11,7 +11,9 @@ are rectangular and transpose-consistent (build(a, b).T == build(b, a)).
 The default pipeline uses cosine similarity with the shift-scale transform
 s <- (1 + s) / 2, which maps similarities into [0, 1] with unit diagonal.
 One entrywise epilogue (unit diagonal under cosine, then the transform) finishes each kernel in
-place, per panel from two factors; SimilarityKernel checks finiteness and symmetry in one tile pass.
+place, per panel from two factors, whose products are written into the kernel itself: beside it a
+build holds the normalized factors and at most one TILE x TILE block. SimilarityKernel checks
+finiteness and symmetry in one tile pass.
 A within-set kernel can instead be served by rows (KernelRows), computed from the same factors
 when first read, when a selection reads few of them (rows_pay): within a few ulps of the built
 kernel, not bitwise, and never n x n in memory. Both offer row(j), diagonal() and block(indices).
@@ -228,28 +230,29 @@ def _prepare_factors(factors, metric, which):
     return tuple(f / nf[:, None] for f, nf in zip(factors, norms))
 
 
-def _product(fa, fb):
-    """(fa[0] @ fb[0].T) * (fa[1] @ fb[1].T) * ...: the Gram of the rows the factors span."""
-    g = fa[0] @ fb[0].T
+def _product(fa, fb, out=None, spare=None):
+    """(fa[0] @ fb[0].T) * (fa[1] @ fb[1].T) * ...: the Gram of the rows the factors span, in
+    out if given; each later factor's product goes into spare when it has the same shape."""
+    g = np.matmul(fa[0], fb[0].T, out=out)
     for f, h in zip(fa[1:], fb[1:]):
-        g *= f @ h.T
+        g *= np.matmul(f, h.T, out=spare if spare is not None and spare.shape == g.shape else None)
     return g
 
 
 def _factored_gram(factors, cfg):
-    """The finished product of the factors with themselves, in row panels of TILE rows:
-    each diagonal block is a product of rank-k updates, which numpy returns exactly
-    symmetric, and the panel right of it is mirrored below the diagonal."""
+    """The finished product of the factors with themselves, written in place in row panels of
+    TILE rows: each diagonal block is a product of rank-k updates, which numpy returns exactly
+    symmetric, and the panel right of it is mirrored below the diagonal. A later factor's product
+    goes into the same columns of the next panel's rows, not yet written, when it fits there."""
     n = len(factors[0])
     g = np.empty((n, n))
     for i in range(0, n, TILE):
         b, rest = slice(i, i + TILE), slice(i + TILE, n)
         panel = [f[b] for f in factors]
-        g[b, b] = _epilogue(_product(panel, panel), cfg, diagonal=True)
-        right = _epilogue(_product(panel, [f[rest] for f in factors]), cfg)
-        g[b, rest] = right
-        g[rest, b] = right.T
-        del right  # freed before the next panel's product: the peak stays at two panels
+        for cols, diagonal in ((b, True), (rest, False)):
+            _product(panel, [f[cols] for f in factors], g[b, cols], g[i + TILE:i + 2 * TILE, cols])
+            _epilogue(g[b, cols], cfg, diagonal)
+        g[rest, b] = g[b, rest].T
     return g
 
 
@@ -272,7 +275,7 @@ def build_kernel(a, b, cfg=KernelConfig()):
     When a and b hold identical values the result is flagged symmetric, is
     exactly symmetric as the matrix product returns it, and (under cosine) gets
     an exact unit diagonal before the transform, all in place: the peak is one
-    n x n array (plus two TILE x n panels when it is built from two factors).
+    n x n array and the normalized factors (and one TILE x TILE block from two).
     Both matrices' outer-product factors are used exactly when a and b carry
     factors of the same widths; otherwise each matrix's rows are its one factor.
     Cross kernels with r < c are computed as the transpose of the swapped

@@ -57,8 +57,9 @@ PIVOT_TOL = 1e-10  # at least four decades inside each end
 
 def check_parameters(eta, gamma, lambda_gc, ridge):
     """Reject a negative or non-finite eta, gamma or ridge or eta^2, or lambda_gc outside [0, 1]."""
-    if not (np.all(np.isfinite([eta, gamma, ridge])) and min(eta, gamma, ridge) >= 0):
-        raise ConfigurationError("eta, gamma and ridge must be finite and nonnegative")
+    for name, value in (("eta", eta), ("gamma", gamma), ("ridge", ridge)):
+        if not 0.0 <= value <= sys.float_info.max:  # NaN, inf and integers beyond float range
+            raise ConfigurationError(f"{name} must be finite and nonnegative")
     if float(eta) * float(eta) == float("inf"):  # where eta ** 2 raises OverflowError
         raise ConfigurationError(f"eta = {eta!r} is too large: its square is not finite")
     if not 0.0 <= lambda_gc <= 1.0:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import warnings
 import weakref
 
 import numpy as np
@@ -96,8 +97,16 @@ class TestTrainSoftmax:
         cfg = dataclasses.replace(SMALL, num_classes=2, feature_dim=2,
                                   learn_rate=float("inf"), max_epochs=3)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError):
+        with pytest.raises(DivergenceError):
             train_softmax(LabeledSplit(x, np.array([0, 1])), cfg)
+
+    def test_divergence_raises_no_runtime_warning(self):
+        # at learn_rate 1e308 the logits' product overflows, then inf - inf is nan
+        cfg = dataclasses.replace(SMALL, learn_rate=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                train_softmax(synthetic_generate(cfg, 0).train, cfg)
 
     def test_determinism(self):
         data = synthetic_generate(SMALL, 4)

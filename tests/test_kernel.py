@@ -345,7 +345,7 @@ class TestSymmetryCheck:
 def test_within_set_build_allocates_one_square_array():
     n = 1200
     plain = FeatureMatrix(np.random.default_rng(0).standard_normal((n, 8)))
-    factored, _ = outer_pair(0, n)  # adds two TILE-row panels
+    factored, _ = outer_pair(0, n)  # adds its normalized factors and TILE x TILE blocks
     for a in (plain, factored):
         tracemalloc.start()
         try:
@@ -355,6 +355,20 @@ def test_within_set_build_allocates_one_square_array():
             tracemalloc.stop()
         assert k.shape == (n, n)
         assert peak < 1.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("n", (TILE + 5, 3 * TILE + 5))
+def test_factored_build_holds_no_panel_beside_the_kernel(n):
+    # Each row panel's products are written into the kernel itself: beyond it and the
+    # normalized factors, a build holds TILE x TILE blocks at most, never a TILE x n panel.
+    a, _ = outer_pair(0, n)
+    tracemalloc.start()
+    try:
+        k = build_kernel(a, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= k.values.nbytes + sum(f.nbytes for f in a.factors) + 2 * TILE * TILE * 8
 
 
 class TestCallerArray:

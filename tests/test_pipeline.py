@@ -351,6 +351,12 @@ class TestManifestErrors:
         assert self._replay(missing, missing, tmp_path, **changes) == 3
         assert "configuration error" in capsys.readouterr().err
 
+    def test_json_integers_beyond_int64(self, pool_file, target_file, tmp_path, capsys):
+        # 10**30 is a finite float; a 401-digit integer is beyond float range
+        assert self._replay(pool_file, target_file, tmp_path, method="gcmi", gamma=10**30) == 0
+        assert self._replay(pool_file, target_file, tmp_path, eta=10**400) == 3
+        assert capsys.readouterr().err == "configuration error: eta must be finite and nonnegative\n"
+
     def test_non_utf8_manifest_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"
         path.write_bytes(b'{"method": "fl", "budget": 1, "unlabeled": "\xff"}')
@@ -426,6 +432,16 @@ class TestExperimentCommand:
         config = write(tmp_path / "bad.json", json.dumps({"ridge": -1}))
         assert main(["experiment", "--config", config, "--methods", "random"]) == 3
         assert "ridge" in capsys.readouterr().err
+
+    def test_json_integers_beyond_int64(self, tmp_path, capsys):
+        # 10**30 is a finite float; a 401-digit integer is beyond float range
+        config = write(tmp_path / "big.json", json.dumps({**TINY_EXPERIMENT, "gamma": 10**30}))
+        assert main(["experiment", "--config", config, "--seeds", "0", "--methods", "gcmi",
+                     "--out", str(tmp_path / "exp.json")]) == 0
+        config = write(tmp_path / "huge.json", json.dumps({"eta": 10**400}))
+        capsys.readouterr()
+        assert main(["experiment", "--config", config, "--methods", "random"]) == 3
+        assert capsys.readouterr().err == "configuration error: eta must be finite and nonnegative\n"
 
     @pytest.mark.parametrize("text", [
         "[1, 2]", '{"seeds": []}', '{"seeds": 5}', '{"seeds": ["a"]}', '{"seeds": [-1]}',
