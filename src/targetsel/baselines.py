@@ -9,7 +9,7 @@ output through the same SelectionResult container as the greedy optimizers.
 
 import numpy as np
 
-from .errors import ShapeError, SizeError
+from .errors import DegenerateFeatureError, ShapeError, SizeError
 from .optimizer import SelectionResult
 
 
@@ -70,8 +70,13 @@ def _factored_distances(factors):
     """c -> squared distances to row c, expanded from the factors (r, x) or (rows,) of the
     rows: prod |f_i|^2 + prod |f_c|^2 - 2 prod f_i.f_c over the factors f, clamped at 0.
     At copies of row c the expansion leaves round-off where the exact distance is 0,
-    so rows within round-off of 0 that equal row c in every factor get exactly 0."""
-    sq = np.multiply.reduce([np.einsum("ij,ij->i", f, f) for f in factors])
+    so rows within round-off of 0 that equal row c in every factor get exactly 0.
+    While every prod |f_i|^2 is at most a quarter of the float range, none of it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a larger one raises below
+        sq = np.multiply.reduce([np.einsum("ij,ij->i", f, f) for f in factors])
+    huge = np.flatnonzero(~(sq <= np.finfo(np.float64).max / 4))
+    if huge.size:
+        raise DegenerateFeatureError(f"row {huge[0]} is too large for badge's squared distances")
 
     def distances(c):
         scale = sq + sq[c]
@@ -87,15 +92,15 @@ def badge_select(embeddings, k, seed):
 
     The next center is drawn with probability proportional to squared distance
     to the nearest chosen center; if every distance is zero the draw falls back
-    to uniform over the unchosen indices. Distances come from the outer-product
-    factors when the embeddings carry them, else from the rows as their one factor.
+    to uniform over the unchosen indices. Distances come from the embeddings'
+    factors: (r, x) of gradient embeddings, or the values of any other matrix.
     """
     n = embeddings.rows
     _check_budget(k, n)
     rng = np.random.default_rng(seed)
     if k == 0:
         return _drawn([], 0)
-    distances = _factored_distances(embeddings.factors or (embeddings.values,))
+    distances = _factored_distances(embeddings.factors)
     chosen = [int(rng.integers(n))]
     d2 = distances(chosen[0])
     while len(chosen) < k:

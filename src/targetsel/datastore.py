@@ -8,6 +8,7 @@ The dense values of an outer-product FeatureMatrix are built on first read and
 cached: a first read from two threads may build them twice, with identical bytes.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,14 +33,14 @@ def freeze(values):
 class FeatureMatrix:
     """n x d matrix of per-instance feature (or gradient-embedding) vectors.
 
-    `factors` is None, or the pair (r, x) when the matrix was built by `outer`
-    and row i is the flattened outer product r_i (x) x_i; its `values` are then
-    built on first read, and `rows`, `dims`, `factors` and repr do not build them.
-    Matrices compare by identity: == of two arrays has no single truth value.
+    `factors` holds the factors of the rows: (values,) for a matrix built from values, and
+    (r, x) for one built by `outer`, whose row i is the flattened outer product r_i (x) x_i;
+    its `values` are then built on first read, and `rows`, `dims`, `factors` and repr do not
+    build them. Matrices compare by identity: == of two arrays has no single truth value.
     """
 
     values: np.ndarray
-    factors: tuple = field(default=None, init=False, repr=False, compare=False)
+    factors: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = freeze(self.values)
@@ -48,6 +49,7 @@ class FeatureMatrix:
         if not np.all(np.isfinite(v)):
             raise DataFormatError("feature matrix contains non-finite entries")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "factors", (v,))
 
     @classmethod
     def outer(cls, r, x):
@@ -73,7 +75,7 @@ class FeatureMatrix:
     def __getattr__(self, name):
         # reached only for an attribute that is not set, as an outer matrix's values before
         # their first read; finite factors that pass outer's check make finite products
-        if name != "values" or self.factors is None:
+        if name != "values":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         r, x = self.factors
         values = (r[:, :, None] * x[:, None, :]).reshape(len(r), -1)
@@ -82,18 +84,15 @@ class FeatureMatrix:
         return values
 
     def __repr__(self):
-        return f"FeatureMatrix({self.rows} x {self.dims}{', outer' if self.factors else ''})"
+        return f"FeatureMatrix({self.rows} x {self.dims}{', outer' if len(self.factors) == 2 else ''})"
 
     @property
     def rows(self):
-        return len(self.factors[0]) if self.factors else self.values.shape[0]
+        return len(self.factors[0])
 
     @property
     def dims(self):
-        if self.factors:
-            r, x = self.factors
-            return r.shape[1] * x.shape[1]
-        return self.values.shape[1]
+        return math.prod(f.shape[1] for f in self.factors)
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,7 +130,7 @@ class KernelRows:
     symmetric = True
 
     def __init__(self, a, cfg=KernelConfig(), budget=8):
-        self._factors = _prepare_factors(a.factors or (a.values,), cfg.metric, "left")
+        self._factors = _prepare_factors(a.factors, cfg.metric, "left")
         self._cfg = cfg
         self._budget = budget
         n = a.rows
@@ -192,7 +192,7 @@ def grow_rows(store, first, cap, what):
 def rows_pay(budget, a):
     """Whether the within-set kernel of a is cheaper served by rows (KernelRows) than built,
     for a selection that reads `budget` rows of it; see ROWS_WIDTH."""
-    return budget * sum(f.shape[1] for f in a.factors or (a.values,)) <= ROWS_WIDTH * a.rows
+    return budget * sum(f.shape[1] for f in a.factors) <= ROWS_WIDTH * a.rows
 
 
 def _tiles(v, mirror):
@@ -209,11 +209,11 @@ def _tiles(v, mirror):
 def _equal_rows(a, b):
     """Whether a and b hold equal values, read only when their factors are not equal:
     equal factors make equal products."""
-    if a.factors and b.factors and all(map(np.array_equal, a.factors, b.factors)):
-        return True
-    return np.array_equal(a.values, b.values)
+    return (len(a.factors) == len(b.factors) and all(map(np.array_equal, a.factors, b.factors))
+            or np.array_equal(a.values, b.values))
 
 
+@np.errstate(over="ignore")  # a norm beyond float range raises below
 def _prepare_factors(factors, metric, which):
     """Factors of a matrix's rows, each row-normalized under cosine: (r, x) of an
     outer-product matrix, or the rows themselves as the single factor.
@@ -227,6 +227,9 @@ def _prepare_factors(factors, metric, which):
     zero = np.flatnonzero(np.minimum.reduce(norms) == 0.0)
     if zero.size:
         raise DegenerateFeatureError(f"zero-norm row {zero[0]} in {which} matrix under cosine metric")
+    huge = np.flatnonzero(np.maximum.reduce(norms) == np.inf)
+    if huge.size:
+        raise DegenerateFeatureError(f"norm of row {huge[0]} in {which} matrix overflows")
     return tuple(f / nf[:, None] for f, nf in zip(factors, norms))
 
 
@@ -269,6 +272,7 @@ def _epilogue(g, cfg, diagonal=False):
     return g
 
 
+@np.errstate(over="ignore", invalid="ignore")  # SimilarityKernel rejects non-finite entries
 def build_kernel(a, b, cfg=KernelConfig()):
     """Build the r x c similarity kernel between feature matrices a and b.
 
@@ -276,10 +280,10 @@ def build_kernel(a, b, cfg=KernelConfig()):
     exactly symmetric as the matrix product returns it, and (under cosine) gets
     an exact unit diagonal before the transform, all in place: the peak is one
     n x n array and the normalized factors (and one TILE x TILE block from two).
-    Both matrices' outer-product factors are used exactly when a and b carry
-    factors of the same widths; otherwise each matrix's rows are its one factor.
-    Cross kernels with r < c are computed as the transpose of the swapped
-    problem so that build(a, b).T == build(b, a) holds entrywise.
+    The factors of a and b are used when they are as many and of the same widths, else
+    each matrix's values are its one factor; errors name a "left" or "right" matrix by
+    the side it was passed on. A cross kernel with r < c is the transpose of the product
+    with b's factors on the left, so that build(a, b).T == build(b, a) holds entrywise.
     Raises SizeError, before allocating, when the 8·r·c bytes of the result
     exceed MEMORY_LIMIT.
     """
@@ -287,7 +291,7 @@ def build_kernel(a, b, cfg=KernelConfig()):
         raise ShapeError(f"feature dimension mismatch: {a.dims} vs {b.dims}")
     _check_size(a.rows, b.rows, "kernel")
     same = a is b or (a.rows == b.rows and _equal_rows(a, b))
-    fa, fb = a.factors or (a.values,), b.factors or (b.values,)
+    fa, fb = a.factors, b.factors
     if len(fa) != len(fb) or any(f.shape[1] != h.shape[1] for f, h in zip(fa, fb)):
         fa, fb = (a.values,), (b.values,)
     fa = _prepare_factors(fa, cfg.metric, "left")
@@ -295,10 +299,9 @@ def build_kernel(a, b, cfg=KernelConfig()):
         g = _epilogue(fa[0] @ fa[0].T, cfg, diagonal=True)
     elif same:
         g = _factored_gram(fa, cfg)
-    elif a.rows < b.rows:
-        return SimilarityKernel(build_kernel(b, a, cfg).values.T, symmetric=False)
     else:
-        g = _epilogue(_product(fa, _prepare_factors(fb, cfg.metric, "right")), cfg)
+        fb = _prepare_factors(fb, cfg.metric, "right")
+        g = _epilogue(_product(fa, fb) if a.rows >= b.rows else _product(fb, fa).T, cfg)
     g.setflags(write=False)  # shared, not copied: see datastore.freeze
     return SimilarityKernel(g, symmetric=same)
 

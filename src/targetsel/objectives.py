@@ -167,7 +167,8 @@ class Objective:
 
 
 class _RunningMax(Objective):
-    """Keeps cur, the elementwise max of self.rows over the selected set."""
+    """Keeps cur, the elementwise max of self.rows over the selected set. The first gain has
+    no max to exceed, so a negative row entry (or fl1mi cap) lets a later gain exceed it."""
 
     chunk = 256  # bounds each gains_at call's temporaries to 256 rows
 
@@ -216,6 +217,7 @@ class FacilityLocationMI1(_RunningMax):
         super().__init__(spec)
         self.rows = spec.s_uu.values
         self.q = spec.eta * spec.s_ut.values.max(axis=1)
+        self.lazy_safe = min(self.rows.min(), self.q.min()) >= 0
 
     def _evaluate(self, indices):
         cur = self.rows[indices].max(axis=0)
@@ -232,6 +234,7 @@ class FacilityLocationMI2(_RunningMax):
         super().__init__(spec)
         self.rows = spec.s_ut.values
         self.rowmax = self.rows.max(axis=1)
+        self.lazy_safe = self.rows.min() >= 0
 
     def _evaluate(self, indices):
         cover = self.rows[indices, :].max(axis=0).sum()
@@ -342,6 +345,7 @@ class FacilityLocation(_RunningMax):
     def __init__(self, spec):
         super().__init__(spec)
         self.rows = spec.s_uu.values
+        self.lazy_safe = self.rows.min() >= 0
 
     def _evaluate(self, indices):
         return float(self.rows[indices].max(axis=0).sum())

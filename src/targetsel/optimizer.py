@@ -83,10 +83,10 @@ def greedy_maximize(spec, budget):
     """Greedy-maximize the objective under a cardinality budget.
 
     Returns min(budget, ground set size) indices; when the budget exceeds the
-    ground set the result is flagged truncated. Lazy greedy runs when the
-    objective is lazy_safe and lazy_pays, naive greedy otherwise: stale bounds
-    are unsound for non-submodular gains, and save nothing where every gain
-    moves with each commit or none ever does.
+    ground set the result is flagged truncated. Lazy greedy runs when the objective
+    is lazy_safe (fl, fl1mi and fl2mi only on nonnegative kernels) and lazy_pays,
+    naive greedy otherwise: stale bounds are unsound for non-submodular gains, and
+    save nothing where every gain moves with each commit or none ever does.
     """
     if budget < 0:
         raise ConfigurationError("budget must be nonnegative")

@@ -127,12 +127,11 @@ def eval_reference(kind, indices, uu=None, ut=None, tt=None,
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def random_kernels(rng, n, m, d=6):
-    """Cosine shift-scale kernels from random features: nonnegative,
+def random_kernels(rng, n, m, d=6, cfg=KernelConfig()):
+    """Kernels from random features, by default cosine shift-scale ones: nonnegative,
     symmetric with unit diagonal, and PSD (strictly PD once ridged)."""
     pool = FeatureMatrix(rng.standard_normal((n, d)))
     target = FeatureMatrix(rng.standard_normal((m, d)))
-    cfg = KernelConfig()
     return (
         build_kernel(pool, pool, cfg),
         build_kernel(pool, target, cfg),

@@ -170,7 +170,8 @@ def test_criterion_4_submodularity_suite():
                 if gain_x < gain_y - 1e-9:
                     violations[kind] += 1
                     worst[kind] = max(worst[kind], gain_y - gain_x)
-    # lazy_safe is per kind, so the last instance's kernels serve to build each
+    # lazy_safe is per kind on nonnegative kernels (fl, fl1mi and fl2mi are not lazy_safe on
+    # a negative entry), so the last instance's cosine shift-scale kernels serve to build each
     lazy_safe = {k for k in KINDS if build_objective(make_spec(k, uu, ut, tt)).lazy_safe}
     declared = lazy_safe | SUBMODULAR_KINDS
     agree = lazy_safe == SUBMODULAR_KINDS

@@ -219,8 +219,9 @@ class TestOuterProducts:
         assert all(f.tobytes() == g.tobytes() and not f.flags.writeable
                    for f, g in zip(m.factors, (r, x)))
 
-    def test_plain_matrix_has_no_factors(self):
-        assert FeatureMatrix(np.eye(2)).factors is None
+    def test_plain_matrix_is_its_own_single_factor(self):
+        m = FeatureMatrix(np.eye(2))
+        assert len(m.factors) == 1 and m.factors[0] is m.values
 
     def test_factors_cannot_be_passed_with_values(self):
         with pytest.raises(TypeError):

@@ -264,11 +264,13 @@ class TestFactoredKernels:
     def test_one_hot_prediction_row_is_degenerate(self, zero_row):
         a, plain_a = outer_pair(0, TILE + 5, zero_row=zero_row)
         b, plain_b = outer_pair(1, 15)
-        for pair, dense in (((a, a), (plain_a, plain_a)), ((a, b), (plain_a, plain_b)),
-                            ((b, a), (plain_b, plain_a))):
+        # the error names the side the caller passed the degenerate matrix on
+        for pair, dense, side in (((a, a), (plain_a, plain_a), "left"),
+                                  ((a, b), (plain_a, plain_b), "left"),
+                                  ((b, a), (plain_b, plain_a), "right")):
             with pytest.raises(DegenerateFeatureError) as dense_err:
                 build_kernel(*dense)
-            with pytest.raises(DegenerateFeatureError, match=f"row {zero_row} ") as err:
+            with pytest.raises(DegenerateFeatureError, match=f"row {zero_row} in {side} ") as err:
                 build_kernel(*pair)
             assert str(err.value) == str(dense_err.value)
 

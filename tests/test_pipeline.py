@@ -1,16 +1,24 @@
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import targetsel
 from targetsel import harness, kernel
 from targetsel.datastore import load_features, load_probabilities
-from targetsel.harness import ExperimentConfig, config_from_dict
+from targetsel.harness import METHODS, ExperimentConfig, config_from_dict
 from targetsel.errors import ConfigurationError, IndefiniteKernelError
+from targetsel.kernel import METRICS, TRANSFORMS
 from targetsel.objectives import ObjectiveSpec, evaluate
 from targetsel.pipeline import RunManifest, build_report, main, run_select
 
@@ -316,6 +324,58 @@ class TestManifestFidelity:
             cli.pop("wall_time_ms")
             lib.pop("wall_time_ms")
             assert cli == lib, method
+
+
+@st.composite
+def select_runs(draw):
+    """`targetsel select` arguments and the CSV files they name: a pool and a target of
+    1-4 and 1-3 rows of small integers times an ordinary, a subnormal or a near-overflow
+    scale, two-class probabilities for the pool, every method, metric and transform, a
+    budget from 0 to n + 2, and ridges and etas at both ends of their ranges."""
+    scale = draw(st.sampled_from([1.0, 5e-324, 1e307]))
+    d = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-3, 3).map(lambda v: v * scale), min_size=d, max_size=d)
+    pool = draw(st.lists(row, min_size=1, max_size=4))
+    target = draw(st.lists(row, min_size=1, max_size=3))
+    probs = [[p, 1.0 - p] for p in draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                                 min_size=len(pool), max_size=len(pool)))]
+    args = ["--method", draw(st.sampled_from(METHODS)),
+            "--budget", str(draw(st.integers(0, len(pool) + 2))),
+            "--metric", draw(st.sampled_from(METRICS)),
+            "--transform", draw(st.sampled_from(TRANSFORMS)),
+            "--ridge", repr(draw(st.sampled_from([0.0, 1e-6, 1e300]))),
+            "--eta", repr(draw(st.sampled_from([0.5, 1.0, 1e200])))]
+    return {"unlabeled": pool, "target": target, "probs": probs}, args
+
+
+def probe_case(method, metric, pool, target=((1.0, 0.0),)):
+    files = {"unlabeled": pool, "target": target, "probs": [[0.5, 0.5]] * len(pool)}
+    return files, ["--method", method, "--budget", "1", "--metric", metric]
+
+
+@settings(max_examples=300, deadline=None)
+@given(run=select_runs())
+# A norm, kernel entry or squared distance beyond float range printed a RuntimeWarning
+# before an exit of 0 or 2: now each exits 2 with one line.
+@example(run=probe_case("fl", "cosine", [[1e307, 1e307], [1e307, 0.0]]))
+@example(run=probe_case("fl", "dot", [[1e307, 0.0]]))
+@example(run=probe_case("gcmi", "dot", [[1e307, 0.0]], [[1e307, 1.0]]))
+@example(run=probe_case("badge", "cosine", [[1e307, 1e307], [1e307, 0.0]]))
+def test_select_probe_exits_with_a_documented_code(run):
+    """Every select run exits 0, 2, 3 or 4, with at most one stderr line (the error),
+    no warning (which would print two more) and no exception."""
+    files, args = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, rows in files.items():
+            text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+            args = [*args, f"--{name}", write(pathlib.Path(tmp) / f"{name}.csv", text)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["select", *args, "--out", os.path.join(tmp, "report.json")])
+    assert code in (0, 2, 3, 4)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 class TestManifestErrors:
