@@ -274,7 +274,7 @@ def select_indices(method, cfg, lake_emb, target_emb, probs, seed, kernels=None)
         # Where rows pay, the kinds that read few pool-kernel rows get rows of their own, which
         # go with the selection: no kernel the cache holds changes what they read.
         rows = method in ROW_KINDS and rows_pay(k, lake_emb)
-        spec = ObjectiveSpec(method, **{f"s_{name}": KernelRows(lake_emb, kernels.kcfg, k)
+        spec = ObjectiveSpec(method, **{f"s_{name}": KernelRows(lake_emb, kernels.kcfg)
                                         if rows and name == "uu" else kernels.get(name)
                                         for name in KERNEL_REQUIREMENTS[method]},
                              eta=cfg.eta, gamma=cfg.gamma, lambda_gc=cfg.lambda_gc, ridge=cfg.ridge)

@@ -15,8 +15,8 @@ place, per panel from two factors, whose products are written into the kernel it
 build holds the normalized factors and at most one TILE x TILE block. SimilarityKernel checks
 finiteness and symmetry in one tile pass.
 A within-set kernel can instead be served by rows (KernelRows), computed from the same factors
-when first read, when a selection reads few of them (rows_pay): within a few ulps of the built
-kernel, not bitwise, and never n x n in memory. Both offer row(j), diagonal() and block(indices).
+as read, when a selection reads few of them (rows_pay): within a few ulps of the built kernel,
+not bitwise, and never n x n in memory. Both offer row(j), diagonal() and block(indices).
 """
 
 import os
@@ -121,18 +121,17 @@ class SimilarityKernel:
 
 class KernelRows:
     """The within-set kernel of a feature matrix, with SimilarityKernel's shape, symmetric, row,
-    diagonal and block, but never built. Row j, when first read, is the epilogue of the product
-    over the factors f of the BLAS product f @ f[j], its entry j the diagonal's: within a few
-    ulps of build_kernel's row, not bitwise. It is checked finite, takes its entry at each row
-    served before it from that row (BLAS may sum (i, j) and (j, i) in different orders), so the
-    rows are exactly symmetric, and is kept in one store of `budget` rows at first (grow_rows)."""
+    diagonal and block, never built and keeping no rows: a selection reads each committed row
+    once. Row j is the epilogue of the product over the factors f of the BLAS product f @ f[j],
+    its entry j the diagonal's, checked finite and kept until another row is read (logdetmi reads
+    each twice in a row): within a few ulps of build_kernel's row, not bitwise, nor symmetric
+    with other rows. A block is the epilogue of its factor rows' Gram, exactly symmetric."""
 
     symmetric = True
 
-    def __init__(self, a, cfg=KernelConfig(), budget=8):
+    def __init__(self, a, cfg=KernelConfig()):
         self._factors = _prepare_factors(a.factors, cfg.metric, "left")
         self._cfg = cfg
-        self._budget = budget
         n = a.rows
         self.shape = (n, n)
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite entries raise below
@@ -142,51 +141,32 @@ class KernelRows:
         if not np.isfinite(self._diagonal).all():
             raise ShapeError("kernel contains non-finite entries")
         self._diagonal.setflags(write=False)
-        self._rows = np.empty((0, n))
-        self._at = {}  # row index -> its position in self._rows, in the order computed
+        self._last = None, None  # the last row read, and its index
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
     def row(self, j):
-        t = self._position(j)  # before self._rows is read: it may grow
-        row = self._rows[t]
-        row.setflags(write=False)
-        return row
+        if self._last[1] != j:
+            g = self._factors[0] @ self._factors[0][j]
+            for f in self._factors[1:]:
+                g *= f @ f[j]
+            g[j] = self._raw[j]
+            if not np.isfinite(_epilogue(g, self._cfg)).all():
+                raise ShapeError("kernel contains non-finite entries")
+            g.setflags(write=False)
+            self._last = g, j
+        return self._last[0]
 
     def diagonal(self):
         return self._diagonal
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite blocks raise below
     def block(self, indices):
-        at = [self._position(j) for j in indices]
-        return self._rows[np.ix_(at, indices)]
-
-    def _position(self, j):
-        """Where row j is kept, computing it first if it is new."""
-        t = self._at.get(j)
-        if t is not None:
-            return t
-        t = len(self._at)
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows raise below
-            g = self._factors[0] @ self._factors[0][j]
-            for f in self._factors[1:]:
-                g *= f @ f[j]
-        g[j] = self._raw[j]
-        _epilogue(g, self._cfg)
-        if not np.isfinite(g).all():
+        rows = [f[indices] for f in self._factors]
+        g = _product(rows, rows)
+        np.fill_diagonal(g, self._raw[indices])
+        if not np.isfinite(_epilogue(g, self._cfg)).all():
             raise ShapeError("kernel contains non-finite entries")
-        g[list(self._at)] = self._rows[:t, j]
-        if t == len(self._rows):
-            self._rows = grow_rows(self._rows, self._budget, self.shape[0], "block of kernel rows")
-        self._rows[t], self._at[j] = g, t
-        return t
-
-
-def grow_rows(store, first, cap, what):
-    """store's rows in a zero-filled array of first rows (at least one) if it has none, else of
-    twice its rows, at most cap; SizeError, before allocating, beyond MEMORY_LIMIT."""
-    size = min(max(first, 2 * len(store), 1), cap)
-    _check_size(size, store.shape[1], what)
-    grown = np.zeros((size, store.shape[1]))
-    grown[:len(store)] = store
-    return grown
+        return g
 
 
 def rows_pay(budget, a):
@@ -213,24 +193,33 @@ def _equal_rows(a, b):
             or np.array_equal(a.values, b.values))
 
 
-@np.errstate(over="ignore")  # a norm beyond float range raises below
+@np.errstate(over="ignore")  # a norm beyond float range is taken again below
 def _prepare_factors(factors, metric, which):
     """Factors of a matrix's rows, each row-normalized under cosine: (r, x) of an
     outer-product matrix, or the rows themselves as the single factor.
 
-    |r_i (x) x_i| = |r_i| |x_i|, so a row has zero norm exactly when one of its
-    factor rows has.
+    A row whose norm underflows to 0 or overflows is first divided by its largest
+    entry, which leaves a norm between 1 and the square root of its width if it is
+    nonzero. |r_i (x) x_i| = |r_i| |x_i|, so a row has zero norm exactly when one of
+    its factor rows has.
     """
     if metric != "cosine":
         return factors
-    norms = [np.linalg.norm(f, axis=1) for f in factors]
-    zero = np.flatnonzero(np.minimum.reduce(norms) == 0.0)
+    scaled = []
+    for f in factors:
+        nf = np.linalg.norm(f, axis=1)
+        odd = (nf == 0.0) | (nf == np.inf)
+        if odd.any():
+            top = np.abs(f[odd]).max(axis=1, keepdims=True)
+            top[top == 0.0] = 1.0  # a zero row stays zero
+            f = f.copy()
+            f[odd] /= top
+            nf[odd] = np.linalg.norm(f[odd], axis=1)
+        scaled.append((f, nf))
+    zero = np.flatnonzero(np.minimum.reduce([nf for _, nf in scaled]) == 0.0)
     if zero.size:
         raise DegenerateFeatureError(f"zero-norm row {zero[0]} in {which} matrix under cosine metric")
-    huge = np.flatnonzero(np.maximum.reduce(norms) == np.inf)
-    if huge.size:
-        raise DegenerateFeatureError(f"norm of row {huge[0]} in {which} matrix overflows")
-    return tuple(f / nf[:, None] for f, nf in zip(factors, norms))
+    return tuple(f / nf[:, None] for f, nf in scaled)
 
 
 def _product(fa, fb, out=None, spare=None):

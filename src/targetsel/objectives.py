@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ConfigurationError, IndefiniteKernelError
-from .kernel import KernelRows, cholesky_or_raise, grow_rows
+from .kernel import KernelRows, _check_size, cholesky_or_raise
 
 KINDS = ("gcmi", "fl1mi", "fl2mi", "logdetmi", "gcmi_div", "fl", "gc", "logdet", "dsum")
 
@@ -420,7 +420,7 @@ class CholeskyResiduals:
     log d_i = log det K[A + i] - log det K[A]. Folding in one committed index
     costs one kernel column and O(n |A|), and K is read only by those columns:
     with a pool kernel served by rows (kernel.KernelRows) it is never built.
-    E is one zero-filled store of rows, doubled from 8 rows by kernel.grow_rows.
+    E is one zero-filled store of rows, doubled from 8 rows, at most n.
     It is the only factor state of logdet and logdetmi: their scalar gains,
     batched gains and commits all read it, and commits are folded in lazily,
     by the next sync.
@@ -452,7 +452,9 @@ class CholeskyResiduals:
             e -= (self.rows[:t, j] @ self.rows[:t])[:n]
             e /= np.sqrt(self.d[j])
             if t == len(self.rows):
-                self.rows = grow_rows(self.rows, 8, n, "block of Schur residual rows")
+                size = min(max(8, 2 * t), n)
+                _check_size(size, self.width, "block of Schur residual rows")  # before allocating
+                self.rows = np.concatenate([self.rows, np.zeros((size - t, self.width))])
             self.rows[t, :n] = e
             self.d -= e * e
             self.t += 1

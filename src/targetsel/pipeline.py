@@ -121,9 +121,9 @@ def _manifest_from_args(args):
             raise ConfigurationError(f"invalid manifest {args.manifest}: {exc}") from exc
     if args.method is None or args.unlabeled is None:
         raise ConfigurationError("--method and --unlabeled are required without --manifest")
-    # the select parser's dests are the manifest's field names
-    return RunManifest(**{f.name: getattr(args, f.name)
-                          for f in fields(RunManifest) if f.name != "version"})
+    # the select parser's dests are the manifest's field names; RunManifest holds the defaults
+    return RunManifest(**{f.name: getattr(args, f.name) for f in fields(RunManifest)
+                          if f.name != "version" and getattr(args, f.name) is not None})
 
 
 def _cmd_select(args):
@@ -186,13 +186,13 @@ def build_parser():
     sel.add_argument("--unlabeled", help="CSV of pool feature rows")
     sel.add_argument("--target", help="CSV of target feature rows")
     sel.add_argument("--probs", help="CSV of predicted class probabilities (us/tus)")
-    sel.add_argument("--eta", type=float, default=1.0)
-    sel.add_argument("--gamma", type=float, default=1.0)
-    sel.add_argument("--lambda-gc", dest="lambda_gc", type=float, default=0.5)
-    sel.add_argument("--ridge", type=float, default=1e-6)
-    sel.add_argument("--metric", choices=METRICS, default="cosine")
-    sel.add_argument("--transform", choices=TRANSFORMS, default="shift-scale")
-    sel.add_argument("--seed", type=int, default=0)
+    sel.add_argument("--eta", type=float)
+    sel.add_argument("--gamma", type=float)
+    sel.add_argument("--lambda-gc", dest="lambda_gc", type=float)
+    sel.add_argument("--ridge", type=float)
+    sel.add_argument("--metric", choices=METRICS)
+    sel.add_argument("--transform", choices=TRANSFORMS)
+    sel.add_argument("--seed", type=int)
     sel.add_argument("--manifest", help="JSON manifest (or prior report) to re-run")
     sel.add_argument("--out", help="report path; '-' or omitted for stdout")
     sel.set_defaults(func=_cmd_select)

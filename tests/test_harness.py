@@ -307,20 +307,19 @@ class TestPoolKernelRows:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("method", ["logdetmi", "gcmi_div", "logdet", "dsum"])
-    def test_row_store_is_allocated_once(self, embeddings, method, monkeypatch):
-        # the store's first block holds the budget's 12 rows (a store started at 8 rows
-        # would grow once), so a selection allocates it once and never copies it
+    @pytest.mark.parametrize("method,computed",
+                             [("dsum", 12), ("gcmi_div", 12), ("logdet", 11), ("logdetmi", 11)])
+    def test_selection_computes_each_committed_row_once(self, embeddings, method, computed,
+                                                        monkeypatch):
+        # each commit reads its row once (logdetmi twice in a row, the second time from the
+        # one row kept); the log-det kinds fold in a commit at the next step, so not the last
         cfg = dataclasses.replace(SMALL, budget=12)
-        made, rows, stores, grow = [], harness.KernelRows, [], kernel.grow_rows
-        monkeypatch.setattr(harness, "KernelRows",
-                            lambda *args: made.append(rows(*args)) or made[-1])
-        monkeypatch.setattr(kernel, "grow_rows",
-                            lambda *args: stores.append(grow(*args)) or stores[-1])
+        served, row = [], kernel.KernelRows.row
+        monkeypatch.setattr(kernel.KernelRows, "row",
+                            lambda self, j: served.append(row(self, j)) or served[-1])
         result = select_indices(method, cfg, *embeddings, None, 0, KernelCache(*embeddings))
-        assert len(result.selected) == 12 and len(made) == 1 and len(made[0]._at) <= 12
-        assert len(stores) == 1 and made[0]._rows is stores[0]
-        assert stores[0].shape == (12, SMALL.lake_size)
+        assert len(result.selected) == 12
+        assert len({id(r) for r in served}) == computed  # served keeps every row alive
 
     def test_rows_ignore_a_built_pool_kernel(self, embeddings):
         # what a selection reads does not depend on what the shared cache already holds

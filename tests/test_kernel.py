@@ -47,6 +47,16 @@ class TestBuildKernel:
         with pytest.raises(DegenerateFeatureError, match="row 1"):
             build_kernel(fm([[1, 0], [0, 0]]), fm([[1, 0]]), KernelConfig())
 
+    @pytest.mark.parametrize("scale", [5e-324, 1.7e308])
+    def test_tiny_and_huge_rows_get_their_cosine(self, scale):
+        # the norm of (scale, scale) underflows to 0 or overflows; divided by its largest
+        # entry first, the row has the norm of (1, 1)
+        cfg = KernelConfig(transform="none")
+        want = build_kernel(fm([[1, 1], [1, 0]]), fm([[1, 1], [1, 0]]), cfg).values
+        a = fm([[scale, scale], [1, 0]])
+        for got in (build_kernel(a, a, cfg).values, kernel.KernelRows(a, cfg).block([0, 1])):
+            assert_within_ulps(got, want, a, a, "cosine")
+
     def test_dot_metric(self):
         k = build_kernel(fm([[2, 0]]), fm([[3, 1]]), KernelConfig(metric="dot", transform="none"))
         assert k.values[0, 0] == pytest.approx(6.0)
@@ -388,9 +398,9 @@ class TestCallerArray:
 
 
 class TestKernelRows:
-    """KernelRows serves the within-set kernel by rows computed from the factors: each row
-    agrees with build_kernel's to a few ulps, the rows are exactly symmetric with the
-    diagonal they share, and every row is checked as it is computed."""
+    """KernelRows serves the within-set kernel by rows computed from the factors and not kept:
+    each row agrees with build_kernel's to a few ulps and holds the diagonal's entry, a block
+    is exactly symmetric with the diagonal's bytes, and every row is checked as it is computed."""
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.metric}-{c.transform}")
     @pytest.mark.parametrize("n", (1, 7, TILE + 5))
@@ -399,27 +409,34 @@ class TestKernelRows:
         for seed in range(3):
             a = outer_pair(seed, n)[0 if factored else 1]
             rows = kernel.KernelRows(a, cfg)
+            built = build_kernel(a, a, cfg).values
             order = np.random.default_rng(seed).permutation(n)  # rows in any order
             got = np.empty((n, n))
             for j in order:
                 got[j] = rows.row(j)
             assert rows.shape == (n, n) and rows.symmetric
-            assert got.tobytes() == got.T.tobytes()
             assert rows.diagonal().tobytes() == np.diag(got).tobytes()
             if cfg.metric == "cosine":
                 assert np.all(rows.diagonal() == 1.0)
-            assert_within_ulps(got, build_kernel(a, a, cfg).values, a, a, cfg.metric)
+            assert_within_ulps(got, built, a, a, cfg.metric)
             idx = order[: (n + 1) // 2]
-            assert rows.block(idx).tobytes() == got[np.ix_(idx, idx)].tobytes()
+            block = rows.block(idx)
+            assert block.tobytes() == block.T.tobytes()
+            assert np.diag(block).tobytes() == rows.diagonal()[idx].tobytes()
+            sub = FeatureMatrix(a.values[idx])
+            assert_within_ulps(block, built[np.ix_(idx, idx)], sub, sub, cfg.metric)
 
     def test_rows_are_cached_read_only_and_repr_builds_nothing(self):
+        # only the last row read is kept: logdetmi reads each committed row twice in a row
         a, _ = outer_pair(0, 9)
         rows = kernel.KernelRows(a)
         repr(rows)
-        assert not rows._at
         first = rows.row(4)
         assert not first.flags.writeable
-        assert rows.row(4).tobytes() == first.tobytes() and list(rows._at) == [4]
+        assert rows.row(4) is first
+        second = rows.row(5)
+        assert rows.row(4) is not first and rows.row(4).tobytes() == first.tobytes()
+        assert not second.flags.writeable and second.tobytes() == rows.row(5).tobytes()
 
     def test_zero_norm_row_raises_on_construction(self):
         with pytest.raises(DegenerateFeatureError, match="zero-norm row 1 in left matrix"):
@@ -431,46 +448,13 @@ class TestKernelRows:
 
     def test_non_finite_row_raises(self):
         rows = kernel.KernelRows(fm([[1, 0], [1, 1], [0, 1]]), KernelConfig(metric="dot"))
+        first = rows.row(0)
         rows._factors = (np.array([[1e200, 0], [1e200, 1], [0, 1]]),)
         with pytest.raises(ShapeError, match="kernel contains non-finite entries"):
             rows.row(1)
-        assert not rows._at
-
-    def test_served_pairs_are_byte_equal_in_any_order(self):
-        # at these sizes BLAS sums row i's entry j and row j's entry i in different orders;
-        # a new row takes its entries at the rows served before it, whatever the order
-        for n, seed in itertools.product((7, TILE + 5), range(4)):
-            for a in outer_pair(1, n):  # factored and plain
-                rows = kernel.KernelRows(a, budget=3)
-                order = np.random.default_rng(seed).permutation(n)[: n // 2 + 1]
-                for j in order:
-                    rows.row(j)
-                served = np.stack([rows.row(j) for j in order])[:, order]
-                assert served.tobytes() == served.T.tobytes()
-                assert np.diag(served).tobytes() == rows.diagonal()[order].tobytes()
-
-    def test_first_block_holds_the_budget(self):
-        a, _ = outer_pair(0, 30)
-        rows = kernel.KernelRows(a, budget=12)
-        rows.row(29)
-        store = rows._rows
-        for j in range(11):
-            rows.row(j)
-        assert rows._rows is store and store.shape == (12, 30) and len(rows._at) == 12
-        rows.row(11)  # the 13th row doubles the store
-        assert rows._rows.shape == (24, 30)
-        assert rows._rows[:12].tobytes() == store.tobytes() and not rows._rows[13:].any()
-
-    def test_rows_beyond_memory_limit_raise(self, monkeypatch):
-        # the first block holds the budget's 6 rows, the next 12, the next all 20 (not 24)
-        a = fm(np.random.default_rng(0).standard_normal((20, 3)))
-        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 12 * 20)  # 12 rows, not 20
-        rows = kernel.KernelRows(a, budget=6)
-        for j in range(12):
-            rows.row(j)
-        assert rows._rows.shape == (12, 20)
-        with pytest.raises(SizeError, match="a 20 x 20 block of kernel rows needs 3200 bytes"):
-            rows.row(12)
+        with pytest.raises(ShapeError, match="kernel contains non-finite entries"):
+            rows.block([0, 1])
+        assert rows.row(0) is first  # a row that raised is not kept
 
     def test_rule_weighs_budget_by_total_factor_width(self):
         a, plain = outer_pair(0, 40)  # factor widths 10 + 65, or 650 plain

@@ -18,7 +18,7 @@ from oracles import (
 )
 from targetsel import harness, kernel
 from targetsel.datastore import FeatureMatrix
-from targetsel.errors import ConfigurationError, IndefiniteKernelError
+from targetsel.errors import ConfigurationError, IndefiniteKernelError, SizeError
 from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel, cholesky_or_raise
 from targetsel.objectives import (
     KINDS,
@@ -568,6 +568,19 @@ class TestBatchedGains:
         obj.commit(1)
         with pytest.raises(IndefiniteKernelError, match="not a pivot of the pool kernel"):
             obj.gains()
+
+    def test_residual_rows_beyond_memory_limit_raise(self, monkeypatch):
+        # E grows from 8 rows by doubling, at most n: 8, 16, then all 20 (not 32), each row
+        # padded to 64 columns
+        n = 20
+        monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 16 * 64)  # 16 rows, not 20
+        res = CholeskyResiduals(lambda j: np.eye(n)[j], np.ones(n), "test kernel",
+                                PIVOT_TOL * np.ones(n))
+        res.sync(list(range(16)))
+        assert res.rows.shape == (16, 64)
+        with pytest.raises(SizeError,
+                           match="a 20 x 64 block of Schur residual rows needs 10240 bytes"):
+            res.sync(list(range(17)))
 
 
 class TestTargetSolve:

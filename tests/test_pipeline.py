@@ -95,6 +95,13 @@ class TestSelectCommand:
                      "--unlabeled", pool_file, "--target", empty])
         assert code == 3
 
+    def test_subnormal_row_gets_its_cosine(self, tmp_path, capsys):
+        # the squared entries of row 0 underflow: it was called a zero-norm row (exit 2)
+        pool = write(tmp_path / "p.csv", "5e-324,0\n0,1\n")
+        code = main(["select", "--method", "fl", "--budget", "1", "--out", "-", "--unlabeled", pool])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["selected"] == [0]
+
     def test_malformed_input_is_input_error(self, tmp_path, capsys):
         bad = write(tmp_path / "bad.csv", "1.0,2.0\n3.0\n")
         code = main(["select", "--method", "fl", "--budget", "1", "--unlabeled", bad])
@@ -356,7 +363,8 @@ def probe_case(method, metric, pool, target=((1.0, 0.0),)):
 @settings(max_examples=300, deadline=None)
 @given(run=select_runs())
 # A norm, kernel entry or squared distance beyond float range printed a RuntimeWarning
-# before an exit of 0 or 2: now each exits 2 with one line.
+# before an exit of 0 or 2: now the norm is taken of the row scaled by its largest entry
+# (exit 0) and the others exit 2 with one line.
 @example(run=probe_case("fl", "cosine", [[1e307, 1e307], [1e307, 0.0]]))
 @example(run=probe_case("fl", "dot", [[1e307, 0.0]]))
 @example(run=probe_case("gcmi", "dot", [[1e307, 0.0]], [[1e307, 1.0]]))

@@ -4,10 +4,10 @@
 
 The pool is a default-protocol seed's gradient-embedding lake (2000 rows): once with its
 10+65-wide outer-product factors, once as the same 650-wide values without factors. The
-built path times build_kernel plus greedy selection; the rows path times a KernelRows with
-its first block at the budget plus greedy selection. Both run in one process, alternating,
-and each cell is the median over --repeats in milliseconds. It prints a Markdown table in
-which the path kernel.rows_pay picks is bold.
+built path times build_kernel plus greedy selection; the rows path times a KernelRows plus
+greedy selection. Both run in one process, alternating, and each cell is the median over
+--repeats in milliseconds. It prints a Markdown table in which the path kernel.rows_pay
+picks is bold.
 """
 
 import argparse
@@ -32,7 +32,7 @@ def main():
     data = harness.synthetic_generate(cfg, args.seed)
     lake = harness.gradient_embeddings(harness.train_softmax(data.train, cfg), data.lake.x)
     inputs = {"10+65-wide factors": lake, "650-wide plain rows": FeatureMatrix(lake.values)}
-    paths = {"built": lambda a, k: build_kernel(a, a, kcfg), "rows": lambda a, k: KernelRows(a, kcfg, k)}
+    paths = {"built": lambda a, k: build_kernel(a, a, kcfg), "rows": lambda a, k: KernelRows(a, kcfg)}
     print("| input | path | " + " | ".join(f"k = {k}" for k in BUDGETS) + " |")
     print("| --- | --- | " + " | ".join("---:" for _ in BUDGETS) + " |")
     for label, a in inputs.items():
