@@ -124,10 +124,6 @@ class ProbabilityMatrix:
     def rows(self):
         return self.values.shape[0]
 
-    @property
-    def num_classes(self):
-        return self.values.shape[1]
-
 
 def _parse_csv(path):
     """Parse a headerless CSV of reals, enforcing rectangularity per line."""

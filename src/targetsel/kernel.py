@@ -51,8 +51,8 @@ MEMORY_LIMIT = _physical_memory()
 # A within-set kernel is served by rows while budget * total factor width is at most
 # ROWS_WIDTH * rows: k rows cost about k * n * width, one n x n build about n^2 * (a + b * width),
 # so the budget up to which rows are cheaper falls with the width. The README's crossover table
-# (dsum, n = 2000) puts it near k = 375-400 for 10+65-wide factors (375 * 75 / 2000 = 14.1) and
-# near k = 125-150 for 650-wide plain rows (41-49); the smaller bound keeps rows off both.
+# (dsum, n = 2000) puts it at k = 500-1000 for 10+65-wide factors (k * 75 / 2000 = 18.8-37.5)
+# and at k = 100-250 for 650-wide plain rows (32.5-81); 14 keeps rows below both.
 ROWS_WIDTH = 14
 
 
@@ -123,9 +123,9 @@ class KernelRows:
     """The within-set kernel of a feature matrix, with SimilarityKernel's shape, symmetric, row,
     diagonal and block, never built and keeping no rows: a selection reads each committed row
     once. Row j is the epilogue of the product over the factors f of the BLAS product f @ f[j],
-    its entry j the diagonal's, checked finite and kept until another row is read (logdetmi reads
-    each twice in a row): within a few ulps of build_kernel's row, not bitwise, nor symmetric
-    with other rows. A block is the epilogue of its factor rows' Gram, exactly symmetric."""
+    its entry j the diagonal's, checked finite and returned read-only: within a few ulps of
+    build_kernel's row, not bitwise, nor symmetric with other rows. A block is the epilogue of
+    its factor rows' Gram, exactly symmetric."""
 
     symmetric = True
 
@@ -141,20 +141,17 @@ class KernelRows:
         if not np.isfinite(self._diagonal).all():
             raise ShapeError("kernel contains non-finite entries")
         self._diagonal.setflags(write=False)
-        self._last = None, None  # the last row read, and its index
 
     @np.errstate(over="ignore", invalid="ignore")  # non-finite rows raise below
     def row(self, j):
-        if self._last[1] != j:
-            g = self._factors[0] @ self._factors[0][j]
-            for f in self._factors[1:]:
-                g *= f @ f[j]
-            g[j] = self._raw[j]
-            if not np.isfinite(_epilogue(g, self._cfg)).all():
-                raise ShapeError("kernel contains non-finite entries")
-            g.setflags(write=False)
-            self._last = g, j
-        return self._last[0]
+        g = self._factors[0] @ self._factors[0][j]
+        for f in self._factors[1:]:
+            g *= f @ f[j]
+        g[j] = self._raw[j]
+        if not np.isfinite(_epilogue(g, self._cfg)).all():
+            raise ShapeError("kernel contains non-finite entries")
+        g.setflags(write=False)
+        return g
 
     def diagonal(self):
         return self._diagonal

@@ -13,7 +13,6 @@ index set is 0; the empty determinant is 1.
 
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -250,8 +249,9 @@ class _ResidualLogDet(Objective):
     """Gains of the log-det kinds, read from one CholeskyResiduals per kernel.
 
     `residuals` holds the ridged pool kernel's first, then any that a subclass
-    appends. The gain of a is log d[a] for the first kernel minus log d[a] for
-    each later one. A commit keeps no factor: the next sync folds it in. A
+    appends, and `_columns(a)` gives each its column a. The gain of a is log
+    d[a] for the first kernel minus log d[a] for each later one. A commit is
+    folded in at the next read, which reads its pool row once for all columns. A
     candidate that is not a pivot (d <= PIVOT_TOL times the pool kernel's
     diagonal, in any kernel) has gain -inf, and once no unselected candidate
     is a pivot every gain raises IndefiniteKernelError, with `remark` added
@@ -265,30 +265,42 @@ class _ResidualLogDet(Objective):
         self.uu = spec.s_uu
         self.eps = spec.ridge
         diag = self.uu.diagonal() + self.eps
-        # partials over kernels and arrays, not bound methods: a reference back to self
-        # would keep every kernel alive until the cyclic garbage collector ran
-        self.residuals = [CholeskyResiduals(partial(_ridged_column, self.uu, self.eps), diag,
-                                            "pool kernel", PIVOT_TOL * diag)]
-        self.synced = None  # the selection size that self.logs reflects
+        self.residuals = [CholeskyResiduals(diag, "pool kernel", PIVOT_TOL * diag)]
+        self.logs = None  # log d of each kernel's residuals; None from a commit to the next read
 
     def _evaluate(self, indices):
         s_a = self.uu.block(indices) + self.eps * np.eye(len(indices))
         return float(_logdet(s_a, PIVOT_TOL * s_a.diagonal(), "pool kernel"))
 
     def gains_at(self, idx):
-        logs = self._synced_logs()
+        logs = self._logs()
         out = logs[0][idx]
         for log_d in logs[1:]:
             out = out - log_d[idx]
         return out
 
-    def _synced_logs(self):
-        """log d of each kernel's residuals, brought up to date with
-        self.selected. At a non-pivot the first kernel's log is -inf and every
-        other one 0, so its gain is -inf."""
-        if self.synced != len(self.selected):
-            ds = [r.sync(self.selected) for r in self.residuals]
-            pivots = [d > r.floor for d, r in zip(ds, self.residuals)]  # one mask per kernel
+    def _commit(self, a):
+        self.logs = None
+
+    def _columns(self, a):
+        """Column a of each kernel, as new arrays: here the ridged pool kernel's."""
+        col = self.uu.row(a).copy()
+        col[a] += self.eps
+        return [col]
+
+    def _logs(self):
+        """log d of each kernel's residuals, with the commits since the last read folded in,
+        each only once it is a pivot of every kernel. At a non-pivot the first kernel's log is
+        -inf and every other one 0, so its gain is -inf."""
+        if self.logs is None:
+            for j in self.selected[self.residuals[0].t:]:
+                for r in self.residuals:
+                    if r.d[j] <= r.floor[j]:
+                        raise IndefiniteKernelError(
+                            f"index {j} is not a pivot of the {r.name}; increase the ridge")
+                for r, e in zip(self.residuals, self._columns(j)):
+                    r.fold(j, e)
+            pivots = [r.d > r.floor for r in self.residuals]  # one mask per kernel
             for mask in pivots:
                 mask[self.selected] = False
             pivot = np.logical_and.reduce(pivots)
@@ -297,9 +309,8 @@ class _ResidualLogDet(Objective):
                     f"no candidate is a pivot: the kernel rank reached is {len(self.selected)}"
                     "; lower the budget or increase the ridge"
                     + ("" if pivots[-1].any() else self.remark))
-            self.logs = [np.log(d, out=np.zeros(len(d)), where=pivot) for d in ds]
+            self.logs = [np.log(r.d, out=np.zeros(len(r.d)), where=pivot) for r in self.residuals]
             self.logs[0][~pivot] = -np.inf
-            self.synced = len(self.selected)
         return self.logs
 
 
@@ -326,10 +337,14 @@ class LogDetMI(_ResidualLogDet):
             self.w[i] = (b[i] - l_q[i, :i] @ self.w[:i]) / l_q[i, i]
         pool = self.residuals[0]
         self.residuals.append(CholeskyResiduals(
-            partial(_conditioned_column, self.uu, self.eps, spec.eta, self.w),
             pool.diag - spec.eta**2 * (self.w**2).sum(axis=0), "conditioned kernel", pool.floor))
         if spec.eta > 1:
             self.remark = "; eta > 1 can make S_A - eta^2 S_AQ S_Q^-1 S_QA indefinite"
+
+    def _columns(self, a):
+        """The ridged pool column, then column a of S - eta^2 W^T W + eps I."""
+        pool = super()._columns(a)
+        return pool + [pool[0] - self.spec.eta**2 * (self.w.T @ self.w[:, a])]
 
     def _evaluate(self, indices):
         cond = self.uu.block(indices) - self.spec.eta**2 * (
@@ -418,16 +433,14 @@ class CholeskyResiduals:
     committed set A with lower Cholesky factor L, it keeps E = L^-1 K[A, :],
     one row per committed index, and d_i = K_ii - |E[:, i]|^2, so that
     log d_i = log det K[A + i] - log det K[A]. Folding in one committed index
-    costs one kernel column and O(n |A|), and K is read only by those columns:
-    with a pool kernel served by rows (kernel.KernelRows) it is never built.
-    E is one zero-filled store of rows, doubled from 8 rows, at most n.
-    It is the only factor state of logdet and logdetmi: their scalar gains,
-    batched gains and commits all read it, and commits are folded in lazily,
-    by the next sync.
+    costs O(n |A|) given its kernel column, which the caller computes: K is
+    read only by those columns, so a pool kernel served by rows
+    (kernel.KernelRows) is never built. E is one zero-filled store of rows,
+    doubled from 8 rows, at most n. It is the only factor state of logdet and
+    logdetmi: their scalar gains, batched gains and commits all read it.
     """
 
-    def __init__(self, column, diag, name, floor):
-        self.column = column  # j -> K[:, j] as a new array
+    def __init__(self, diag, name, floor):
         self.diag = diag
         self.name = name
         self.floor = floor  # a pivot's residual must exceed this
@@ -439,26 +452,18 @@ class CholeskyResiduals:
         self.rows = np.zeros((0, self.width))
         self.t = 0  # committed indices folded in so far
 
-    def sync(self, selected):
-        """Fold in the indices committed since the last call; returns d.
-        A committed index that is not a pivot raises IndefiniteKernelError."""
-        n = len(self.d)
-        while self.t < len(selected):
-            t, j = self.t, selected[self.t]
-            if self.d[j] <= self.floor[j]:
-                raise IndefiniteKernelError(
-                    f"index {j} is not a pivot of the {self.name}; increase the ridge")
-            e = self.column(j)
-            e -= (self.rows[:t, j] @ self.rows[:t])[:n]
-            e /= np.sqrt(self.d[j])
-            if t == len(self.rows):
-                size = min(max(8, 2 * t), n)
-                _check_size(size, self.width, "block of Schur residual rows")  # before allocating
-                self.rows = np.concatenate([self.rows, np.zeros((size - t, self.width))])
-            self.rows[t, :n] = e
-            self.d -= e * e
-            self.t += 1
-        return self.d
+    def fold(self, j, e):
+        """Fold in committed pivot j, given e = K[:, j] as a new array, which it overwrites."""
+        t, n = self.t, len(self.d)
+        e -= (self.rows[:t, j] @ self.rows[:t])[:n]
+        e /= np.sqrt(self.d[j])
+        if t == len(self.rows):
+            size = min(max(8, 2 * t), n)
+            _check_size(size, self.width, "block of Schur residual rows")  # before allocating
+            self.rows = np.concatenate([self.rows, np.zeros((size - t, self.width))])
+        self.rows[t, :n] = e
+        self.d -= e * e
+        self.t += 1
 
 
 def _logdet(m, floor, name, remark=""):
@@ -471,18 +476,6 @@ def _logdet(m, floor, name, remark=""):
         pass
     raise IndefiniteKernelError(
         f"the {name} on this set has a non-pivot; increase the ridge{remark}")
-
-
-def _ridged_column(kernel, eps, j):
-    """Column j of a symmetric kernel plus eps I, as a new array."""
-    col = kernel.row(j).copy()
-    col[j] += eps
-    return col
-
-
-def _conditioned_column(kernel, eps, eta, w, j):
-    """Column j of kernel - eta^2 W^T W + eps I, as a new array."""
-    return _ridged_column(kernel, eps, j) - eta**2 * (w.T @ w[:, j])
 
 
 _CLASSES = {

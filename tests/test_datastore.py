@@ -189,7 +189,7 @@ class TestLoadProbabilities:
 
     def test_two_rows(self, tmp_path):
         p = load_probabilities(write(tmp_path, "1.0,0.0\n0.25,0.75"))
-        assert (p.rows, p.num_classes) == (2, 2)
+        assert p.rows == 2 and p.values.shape == (2, 2)
 
     def test_negative_entry(self, tmp_path):
         with pytest.raises(DataFormatError, match="out of"):

@@ -311,14 +311,15 @@ class TestPoolKernelRows:
                              [("dsum", 12), ("gcmi_div", 12), ("logdet", 11), ("logdetmi", 11)])
     def test_selection_computes_each_committed_row_once(self, embeddings, method, computed,
                                                         monkeypatch):
-        # each commit reads its row once (logdetmi twice in a row, the second time from the
-        # one row kept); the log-det kinds fold in a commit at the next step, so not the last
+        # each commit reads its row once, logdetmi's for both of its kernels' columns; the
+        # log-det kinds fold in a commit at the next step, so not the last
         cfg = dataclasses.replace(SMALL, budget=12)
         served, row = [], kernel.KernelRows.row
         monkeypatch.setattr(kernel.KernelRows, "row",
                             lambda self, j: served.append(row(self, j)) or served[-1])
         result = select_indices(method, cfg, *embeddings, None, 0, KernelCache(*embeddings))
         assert len(result.selected) == 12
+        assert len(served) == computed  # calls
         assert len({id(r) for r in served}) == computed  # served keeps every row alive
 
     def test_rows_ignore_a_built_pool_kernel(self, embeddings):

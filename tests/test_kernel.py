@@ -426,17 +426,18 @@ class TestKernelRows:
             sub = FeatureMatrix(a.values[idx])
             assert_within_ulps(block, built[np.ix_(idx, idx)], sub, sub, cfg.metric)
 
-    def test_rows_are_cached_read_only_and_repr_builds_nothing(self):
-        # only the last row read is kept: logdetmi reads each committed row twice in a row
+    def test_rows_are_read_only_and_repr_builds_nothing(self):
+        # no row is kept: each read computes the row again, to the same bytes
         a, _ = outer_pair(0, 9)
         rows = kernel.KernelRows(a)
         repr(rows)
         first = rows.row(4)
         assert not first.flags.writeable
-        assert rows.row(4) is first
+        again = rows.row(4)
+        assert again is not first and again.tobytes() == first.tobytes()
         second = rows.row(5)
-        assert rows.row(4) is not first and rows.row(4).tobytes() == first.tobytes()
         assert not second.flags.writeable and second.tobytes() == rows.row(5).tobytes()
+        assert rows.row(4).tobytes() == first.tobytes()
 
     def test_zero_norm_row_raises_on_construction(self):
         with pytest.raises(DegenerateFeatureError, match="zero-norm row 1 in left matrix"):
@@ -448,13 +449,11 @@ class TestKernelRows:
 
     def test_non_finite_row_raises(self):
         rows = kernel.KernelRows(fm([[1, 0], [1, 1], [0, 1]]), KernelConfig(metric="dot"))
-        first = rows.row(0)
         rows._factors = (np.array([[1e200, 0], [1e200, 1], [0, 1]]),)
         with pytest.raises(ShapeError, match="kernel contains non-finite entries"):
             rows.row(1)
         with pytest.raises(ShapeError, match="kernel contains non-finite entries"):
             rows.block([0, 1])
-        assert rows.row(0) is first  # a row that raised is not kept
 
     def test_rule_weighs_budget_by_total_factor_width(self):
         a, plain = outer_pair(0, 40)  # factor widths 10 + 65, or 650 plain

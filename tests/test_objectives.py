@@ -553,14 +553,15 @@ class TestBatchedGains:
 
     def test_non_pivot_commit_raises(self):
         # folding in a committed index whose residual is at most PIVOT_TOL
-        # times its diagonal is a typed error that names the kernel
-        singular = np.ones((3, 3))
-        res = CholeskyResiduals(lambda j: singular[j].copy(), singular.diagonal(), "test kernel",
-                                PIVOT_TOL * singular.diagonal())
-        res.sync([0])
-        with pytest.raises(IndefiniteKernelError, match="index 1 is not a pivot of the test kernel"):
-            res.sync([0, 1])
-        assert res.t == 1
+        # times its diagonal is a typed error that names the kernel, and
+        # folds nothing in
+        singular = SimilarityKernel(np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]), symmetric=True)
+        obj = build_objective(ObjectiveSpec("logdet", s_uu=singular, ridge=0.0))
+        obj.commit(0)
+        obj.commit(1)
+        with pytest.raises(IndefiniteKernelError, match="index 1 is not a pivot of the pool kernel"):
+            obj.gains()
+        assert obj.residuals[0].t == 1
         # a library caller committing a copy of a selected row directly
         uu, ut, tt = duplicate_row_kernels(0)
         obj = build_objective(ObjectiveSpec("logdetmi", s_uu=uu, s_ut=ut, s_tt=tt, ridge=0.0))
@@ -569,18 +570,42 @@ class TestBatchedGains:
         with pytest.raises(IndefiniteKernelError, match="not a pivot of the pool kernel"):
             obj.gains()
 
+    def test_conditioned_non_pivot_commit_raises_at_every_read(self):
+        # Row 2 is also a target row, so at ridge 0 it is a pivot of the pool
+        # kernel but not of the conditioned one: a commit of it is folded into
+        # neither kernel, so every later read raises the same error
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((6, 8))
+            pool = FeatureMatrix(x)
+            target = FeatureMatrix(np.vstack([x[2], rng.standard_normal(8)]))
+            cfg = KernelConfig()
+            obj = build_objective(ObjectiveSpec(
+                "logdetmi", s_uu=build_kernel(pool, pool, cfg), s_ut=build_kernel(pool, target, cfg),
+                s_tt=build_kernel(target, target, cfg), ridge=0.0))
+            obj.commit(2)
+            errors = []
+            for _ in range(2):
+                with pytest.raises(IndefiniteKernelError,
+                                   match="index 2 is not a pivot of the conditioned kernel") as err:
+                    obj.gains()
+                errors.append(str(err.value))
+                assert [r.t for r in obj.residuals] == [0, 0], seed
+            assert errors[0] == errors[1]
+
     def test_residual_rows_beyond_memory_limit_raise(self, monkeypatch):
         # E grows from 8 rows by doubling, at most n: 8, 16, then all 20 (not 32), each row
         # padded to 64 columns
         n = 20
         monkeypatch.setattr(kernel, "MEMORY_LIMIT", 8 * 16 * 64)  # 16 rows, not 20
-        res = CholeskyResiduals(lambda j: np.eye(n)[j], np.ones(n), "test kernel",
-                                PIVOT_TOL * np.ones(n))
-        res.sync(list(range(16)))
-        assert res.rows.shape == (16, 64)
+        res = CholeskyResiduals(np.ones(n), "test kernel", PIVOT_TOL * np.ones(n))
+        for j in range(16):
+            res.fold(j, np.eye(n)[j])
+            assert res.rows.shape == (8 if j < 8 else 16, 64)
         with pytest.raises(SizeError,
                            match="a 20 x 64 block of Schur residual rows needs 10240 bytes"):
-            res.sync(list(range(17)))
+            res.fold(16, np.eye(n)[16])
+        assert res.t == 16
 
 
 class TestTargetSolve:

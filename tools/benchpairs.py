@@ -10,6 +10,10 @@ each pair the script runs `python3 perfbench/run.py --workload W --seed S --seco
 BLAS threads at their defaults; pair i runs the parent first when i is even, the change
 first when odd. Each run's last output line (the result) is kept verbatim and its
 second-to-last line (the details) without the per-operation `latencies_ms` lists.
+After the pairs, each invocation runs the Tier-1 tests once in each tree,
+`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, in the order the
+next pair would take, and keeps each side's wall seconds, pytest's summary counts
+(passed, failed, ...) and exit code under "tier1".
 
 Per workload and end-to-end metric the output gives both sides' median and inclusive
 quartiles, the change's wins (strictly better, in the direction BENCHMARK.json gives), the
@@ -22,6 +26,7 @@ Standard library only.
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -47,6 +52,19 @@ def run_once(tree, workload, seed, seconds):
     for window in details["details"].get("windows", {}).values():
         window.pop("latencies_ms", None)
     return {"details": details, "result": json.loads(lines[-1]), "finished": time.time()}
+
+
+def run_tier1(tree):
+    """One Tier-1 run in tree: its wall seconds, pytest's summary counts and exit code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=tree, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    summary = proc.stdout.strip().rsplit("\n", 1)[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", summary)}
+    return {"wall_s": wall, "counts": counts, "exit_code": proc.returncode}
 
 
 def quartiles(values):
@@ -106,6 +124,14 @@ def verdict_line(entry):
             f"{sides['change'][0]} ({sides['change'][1]} failed ops)")
 
 
+def tier1_line(entry):
+    def side(run):
+        counts = ", ".join(f"{n} {word}" for word, n in run["counts"].items()) or "no summary"
+        return f"{run['wall_s']:.1f} s ({counts}; exit {run['exit_code']})"
+    return (f"Tier-1 wall time, {entry['first']} first: parent {side(entry['parent'])}, "
+            f"change {side(entry['change'])}")
+
+
 def environment(entry):
     env = entry["details"]["details"].get("environment", {})
     blas = env.get("blas", {})
@@ -133,18 +159,20 @@ def main(argv=None):
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     report = {"environment": None, "plan": [],
               "order": "pair i runs the parent first when i is even, the change first when odd",
-              "workloads": [], "notes": []}
+              "workloads": [], "tier1": [], "notes": []}
     if args.append and os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             report = json.load(fh)
     report["plan"] += [list(p) for p in args.plan]
-    kept = len(report["workloads"])
+    report.setdefault("tier1", [])
+    kept, kept_tier1 = len(report["workloads"]), len(report["tier1"])
     notes = report["notes"][:]
 
     def write():
         added = report["workloads"][kept:]
         report["notes"] = notes + list(args.note) + [verdict_line(e) for e in added] + [
-            claim_line(e, m) for e in added for m in args.claim or better]
+            claim_line(e, m) for e in added for m in args.claim or better] + [
+            tier1_line(t) for t in report["tier1"][kept_tier1:]]
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=1)
             fh.write("\n")
@@ -165,6 +193,11 @@ def main(argv=None):
                 f"{pair['change']['result']['metrics'][m]['value']:.4g}"
                 for m in (args.claim or better) if m in pair["parent"]["result"]["metrics"]),
                 file=sys.stderr, flush=True)
+    order = ("parent", "change") if len(report["tier1"]) % 2 == 0 else ("change", "parent")
+    runs = {side: run_tier1(trees[side]) for side in order}
+    report["tier1"].append({"first": order[0], "parent": runs["parent"], "change": runs["change"]})
+    write()
+    print(tier1_line(report["tier1"][-1]), file=sys.stderr, flush=True)
     return 0
 
 
