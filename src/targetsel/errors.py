@@ -46,7 +46,7 @@ class IndefiniteKernelError(TargetselError):
 
 
 class DivergenceError(TargetselError):
-    """Training produced a non-finite loss."""
+    """A computation produced non-finite values: a training loss, or a selection's gains."""
     exit_code, prefix = 4, "numerical error"
 
 

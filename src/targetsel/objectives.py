@@ -107,7 +107,8 @@ class Objective:
     in idx: an int gives one gain, a slice or an array of unselected indices
     the gain of each index in it, so `gain`, `gains` and lazy greedy's
     re-scores run the same arithmetic. A gain of -inf marks a candidate that
-    cannot be added, such as a non-pivot of a log-det kind.
+    cannot be added, such as a non-pivot of a log-det kind, whose `commit`
+    rejects it and changes nothing.
     """
 
     lazy_safe = True
@@ -250,12 +251,13 @@ class _ResidualLogDet(Objective):
 
     `residuals` holds the ridged pool kernel's first, then any that a subclass
     appends, and `_columns(a)` gives each its column a. The gain of a is log
-    d[a] for the first kernel minus log d[a] for each later one. A commit is
-    folded in at the next read, which reads its pool row once for all columns. A
-    candidate that is not a pivot (d <= PIVOT_TOL times the pool kernel's
-    diagonal, in any kernel) has gain -inf, and once no unselected candidate
-    is a pivot every gain raises IndefiniteKernelError, with `remark` added
-    when the last kernel has no pivot left.
+    d[a] for the first kernel minus log d[a] for each later one. A candidate
+    that is not a pivot (d <= PIVOT_TOL times the pool kernel's diagonal, in
+    any kernel) has gain -inf, and once no unselected candidate is a pivot
+    every gain raises IndefiniteKernelError, with `remark` added when the last
+    kernel has no pivot left. A commit is folded into every kernel when it is
+    made, reading its pool row once, so each residual's t is len(selected); a
+    commit of a non-pivot raises IndefiniteKernelError and changes nothing.
     """
 
     remark = ""
@@ -280,6 +282,12 @@ class _ResidualLogDet(Objective):
         return out
 
     def _commit(self, a):
+        for r in self.residuals:  # before any kernel folds a in
+            if r.d[a] <= r.floor[a]:
+                raise IndefiniteKernelError(
+                    f"index {a} is not a pivot of the {r.name}; increase the ridge")
+        for r, e in zip(self.residuals, self._columns(a)):
+            r.fold(a, e)
         self.logs = None
 
     def _columns(self, a):
@@ -289,17 +297,9 @@ class _ResidualLogDet(Objective):
         return [col]
 
     def _logs(self):
-        """log d of each kernel's residuals, with the commits since the last read folded in,
-        each only once it is a pivot of every kernel. At a non-pivot the first kernel's log is
-        -inf and every other one 0, so its gain is -inf."""
+        """log d of each kernel's residuals. At a non-pivot the first kernel's log is -inf and
+        every other one 0, so its gain is -inf."""
         if self.logs is None:
-            for j in self.selected[self.residuals[0].t:]:
-                for r in self.residuals:
-                    if r.d[j] <= r.floor[j]:
-                        raise IndefiniteKernelError(
-                            f"index {j} is not a pivot of the {r.name}; increase the ridge")
-                for r, e in zip(self.residuals, self._columns(j)):
-                    r.fold(j, e)
             pivots = [r.d > r.floor for r in self.residuals]  # one mask per kernel
             for mask in pivots:
                 mask[self.selected] = False

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .objectives import build_objective
 
 TIE_TOL = 1e-12
 LAZY_BLOCK = 32  # stale bounds re-scored by one gains_at call
+OVERFLOW = "a gain or the total is beyond float range; rescale the features or lower gamma"
 
 
 @dataclass
@@ -36,7 +37,10 @@ def _naive_greedy(obj, k):
     for _ in range(k):
         step_gains = obj.gains()
         evals += obj.n - len(obj.selected)
-        winner = int(np.flatnonzero(step_gains >= step_gains.max() - TIE_TOL)[0])
+        top = step_gains.max()
+        if not np.isfinite(obj.value + top):  # a log-det kind raises before every gain is -inf
+            raise DivergenceError(OVERFLOW)
+        winner = int(np.flatnonzero(step_gains >= top - TIE_TOL)[0])
         gains.append(float(step_gains[winner]))
         obj.commit(winner)
     return gains, evals
@@ -70,6 +74,8 @@ def _lazy_greedy(obj, k):
         if len(near):
             bound[near], stale[near] = obj.gains_at(near), False
             evals += len(near)
+        if not obj.value + bound[:top + 1].max() < np.inf:  # NaN or inf; commit refuses -inf
+            raise DivergenceError(OVERFLOW)
         winner = int(np.flatnonzero(bound[:top + 1] >= floor)[0])
         gains.append(float(bound[winner]))
         obj.commit(winner)
@@ -79,6 +85,7 @@ def _lazy_greedy(obj, k):
     return gains, evals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite gain raises DivergenceError
 def greedy_maximize(spec, budget):
     """Greedy-maximize the objective under a cardinality budget.
 

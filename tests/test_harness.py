@@ -308,11 +308,11 @@ class TestPoolKernelRows:
             gc.enable()
 
     @pytest.mark.parametrize("method,computed",
-                             [("dsum", 12), ("gcmi_div", 12), ("logdet", 11), ("logdetmi", 11)])
+                             [("dsum", 12), ("gcmi_div", 12), ("logdet", 12), ("logdetmi", 12)])
     def test_selection_computes_each_committed_row_once(self, embeddings, method, computed,
                                                         monkeypatch):
-        # each commit reads its row once, logdetmi's for both of its kernels' columns; the
-        # log-det kinds fold in a commit at the next step, so not the last
+        # each commit reads its row once, the last one too, logdetmi's for both of its
+        # kernels' columns: the log-det kinds fold in a commit when it is made
         cfg = dataclasses.replace(SMALL, budget=12)
         served, row = [], kernel.KernelRows.row
         monkeypatch.setattr(kernel.KernelRows, "row",

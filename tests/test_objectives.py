@@ -552,28 +552,26 @@ class TestBatchedGains:
             assert max(gains) < 10
 
     def test_non_pivot_commit_raises(self):
-        # folding in a committed index whose residual is at most PIVOT_TOL
-        # times its diagonal is a typed error that names the kernel, and
-        # folds nothing in
+        # committing an index whose residual is at most PIVOT_TOL times its
+        # diagonal is a typed error that names the kernel, and folds nothing in
         singular = SimilarityKernel(np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]), symmetric=True)
         obj = build_objective(ObjectiveSpec("logdet", s_uu=singular, ridge=0.0))
         obj.commit(0)
-        obj.commit(1)
         with pytest.raises(IndefiniteKernelError, match="index 1 is not a pivot of the pool kernel"):
-            obj.gains()
-        assert obj.residuals[0].t == 1
+            obj.commit(1)
+        assert obj.selected == [0] and obj.residuals[0].t == 1
         # a library caller committing a copy of a selected row directly
         uu, ut, tt = duplicate_row_kernels(0)
         obj = build_objective(ObjectiveSpec("logdetmi", s_uu=uu, s_ut=ut, s_tt=tt, ridge=0.0))
         obj.commit(0)
-        obj.commit(1)
         with pytest.raises(IndefiniteKernelError, match="not a pivot of the pool kernel"):
-            obj.gains()
+            obj.commit(1)
+        assert obj.selected == [0] and [r.t for r in obj.residuals] == [1, 1]
 
-    def test_conditioned_non_pivot_commit_raises_at_every_read(self):
+    def test_conditioned_non_pivot_commit_raises_and_changes_nothing(self):
         # Row 2 is also a target row, so at ridge 0 it is a pivot of the pool
-        # kernel but not of the conditioned one: a commit of it is folded into
-        # neither kernel, so every later read raises the same error
+        # kernel but not of the conditioned one: a commit of it raises before
+        # either kernel folds it in, and the objective reads on as before
         for seed in range(8):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((6, 8))
@@ -583,15 +581,40 @@ class TestBatchedGains:
             obj = build_objective(ObjectiveSpec(
                 "logdetmi", s_uu=build_kernel(pool, pool, cfg), s_ut=build_kernel(pool, target, cfg),
                 s_tt=build_kernel(target, target, cfg), ridge=0.0))
-            obj.commit(2)
-            errors = []
-            for _ in range(2):
+            with pytest.raises(IndefiniteKernelError,
+                               match="index 2 is not a pivot of the conditioned kernel"):
+                obj.commit(2)
+            assert obj.selected == [] and [r.t for r in obj.residuals] == [0, 0], seed
+            gains = obj.gains()
+            assert gains[2] == -np.inf and np.isfinite(np.delete(gains, 2)).all(), seed
+
+    @pytest.mark.parametrize("kind", ["logdet", "logdetmi"])
+    def test_refused_commit_changes_nothing(self, kind):
+        # At ridge 0 rows 1 and 4 copy rows 0 and 2, so once those are selected
+        # the copies have gain -inf: committing one directly raises, names its
+        # kernel, and leaves the selection, the value and every residual as
+        # they were, so greedy goes on as for an objective that never saw it
+        mi = kind == "logdetmi"
+        for seed in range(8):
+            uu, ut, tt = duplicate_row_kernels(seed)
+            spec = ObjectiveSpec(kind, s_uu=uu, s_ut=ut if mi else None,
+                                 s_tt=tt if mi else None, ridge=0.0)
+            obj, fresh = build_objective(spec), build_objective(spec)
+            for a in (0, 2):
+                obj.commit(a)
+                fresh.commit(a)
+            gains = obj.gains()
+            assert list(np.flatnonzero(gains == -np.inf)) == [0, 1, 2, 4], seed
+            for a in (1, 4):
+                state = (list(obj.selected), obj.value, [r.t for r in obj.residuals],
+                         [r.d.tobytes() for r in obj.residuals])
                 with pytest.raises(IndefiniteKernelError,
-                                   match="index 2 is not a pivot of the conditioned kernel") as err:
-                    obj.gains()
-                errors.append(str(err.value))
-                assert [r.t for r in obj.residuals] == [0, 0], seed
-            assert errors[0] == errors[1]
+                                   match=f"^index {a} is not a pivot of the pool kernel;"):
+                    obj.commit(a)
+                assert (list(obj.selected), obj.value, [r.t for r in obj.residuals],
+                        [r.d.tobytes() for r in obj.residuals]) == state, (seed, a)
+            assert _naive_greedy(obj, 2) == _naive_greedy(fresh, 2), seed
+            assert obj.selected == fresh.selected and obj.value == fresh.value, seed
 
     def test_residual_rows_beyond_memory_limit_raise(self, monkeypatch):
         # E grows from 8 rows by doubling, at most n: 8, 16, then all 20 (not 32), each row

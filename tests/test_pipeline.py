@@ -336,10 +336,11 @@ class TestManifestFidelity:
 @st.composite
 def select_runs(draw):
     """`targetsel select` arguments and the CSV files they name: a pool and a target of
-    1-4 and 1-3 rows of small integers times an ordinary, a subnormal or a near-overflow
-    scale, two-class probabilities for the pool, every method, metric and transform, a
-    budget from 0 to n + 2, and ridges and etas at both ends of their ranges."""
-    scale = draw(st.sampled_from([1.0, 5e-324, 1e307]))
+    1-4 and 1-3 rows of small integers times an ordinary, a subnormal, a near-overflow
+    scale or one whose squares are near overflow, two-class probabilities for the pool,
+    every method, metric and transform, a budget from 0 to n + 2, and ridges, etas and
+    gammas at both ends of their ranges."""
+    scale = draw(st.sampled_from([1.0, 5e-324, 1e307, 1e154]))
     d = draw(st.integers(1, 3))
     row = st.lists(st.integers(-3, 3).map(lambda v: v * scale), min_size=d, max_size=d)
     pool = draw(st.lists(row, min_size=1, max_size=4))
@@ -351,13 +352,24 @@ def select_runs(draw):
             "--metric", draw(st.sampled_from(METRICS)),
             "--transform", draw(st.sampled_from(TRANSFORMS)),
             "--ridge", repr(draw(st.sampled_from([0.0, 1e-6, 1e300]))),
-            "--eta", repr(draw(st.sampled_from([0.5, 1.0, 1e200])))]
+            "--eta", repr(draw(st.sampled_from([0.5, 1.0, 1e200]))),
+            "--gamma", repr(draw(st.sampled_from([1.0, 1e308])))]
     return {"unlabeled": pool, "target": target, "probs": probs}, args
 
 
-def probe_case(method, metric, pool, target=((1.0, 0.0),)):
+def probe_case(method, metric, pool, target=((1.0, 0.0),), budget=1, flags=()):
     files = {"unlabeled": pool, "target": target, "probs": [[0.5, 0.5]] * len(pool)}
-    return files, ["--method", method, "--budget", "1", "--metric", metric]
+    return files, ["--method", method, "--budget", str(budget), "--metric", metric, *flags]
+
+
+# A pool and target whose dot kernels are finite, every entry near 1e308, but whose row
+# sums and running sums overflow, at a budget of the whole pool.
+OVERFLOW = ([[1e154, 0.0], [1e154, 1.0], [1e154, 2.0], [1e154, 3.0]], [[1e154, 0.0]], 4,
+            ["--transform", "none"])
+
+
+def strict_json(name):
+    raise ValueError(f"{name} in a JSON report")
 
 
 @settings(max_examples=300, deadline=None)
@@ -369,9 +381,20 @@ def probe_case(method, metric, pool, target=((1.0, 0.0),)):
 @example(run=probe_case("fl", "dot", [[1e307, 0.0]]))
 @example(run=probe_case("gcmi", "dot", [[1e307, 0.0]], [[1e307, 1.0]]))
 @example(run=probe_case("badge", "cosine", [[1e307, 1e307], [1e307, 0.0]]))
+# Gains and totals beyond float range ended in an IndexError or ValueError traceback, or
+# exited 0 with Infinity or NaN in the report: now they exit 4 with one line.
+@example(run=probe_case("fl", "dot", *OVERFLOW))
+@example(run=probe_case("fl1mi", "dot", *OVERFLOW))
+@example(run=probe_case("fl2mi", "dot", *OVERFLOW))
+@example(run=probe_case("gc", "dot", *OVERFLOW))
+@example(run=probe_case("dsum", "dot", *OVERFLOW))
+@example(run=probe_case("gcmi", "dot", *OVERFLOW))
+@example(run=probe_case("gcmi_div", "cosine", [[2, 1], [0, -2], [-1, -3], [-3, -3], [-2, 2],
+                                               [1, 3]], [[1.0, 0.0]], 6, ["--gamma", "1e308"]))
 def test_select_probe_exits_with_a_documented_code(run):
     """Every select run exits 0, 2, 3 or 4, with at most one stderr line (the error),
-    no warning (which would print two more) and no exception."""
+    no warning (which would print two more) and no exception; a run that exits 0 writes
+    a report of finite numbers, strict JSON."""
     files, args = run
     with tempfile.TemporaryDirectory() as tmp:
         for name, rows in files.items():
@@ -381,6 +404,9 @@ def test_select_probe_exits_with_a_documented_code(run):
         with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["select", *args, "--out", os.path.join(tmp, "report.json")])
+        if code == 0:
+            with open(os.path.join(tmp, "report.json"), encoding="utf-8") as fh:
+                json.load(fh, parse_constant=strict_json)
     assert code in (0, 2, 3, 4)
     assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
     assert not caught, [str(w.message) for w in caught]

@@ -10,10 +10,13 @@ each pair the script runs `python3 perfbench/run.py --workload W --seed S --seco
 BLAS threads at their defaults; pair i runs the parent first when i is even, the change
 first when odd. Each run's last output line (the result) is kept verbatim and its
 second-to-last line (the details) without the per-operation `latencies_ms` lists.
-After the pairs, each invocation runs the Tier-1 tests once in each tree,
-`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, in the order the
-next pair would take, and keeps each side's wall seconds, pytest's summary counts
-(passed, failed, ...) and exit code under "tier1".
+After the pairs, each invocation runs the Tier-1 tests,
+`PYTHONPATH=src python -m pytest -q --continue-on-collection-errors`, twice in each tree,
+as two entries under "tier1" in ABBA order: the first entry runs parent first when the
+entries already there are even in number, change first when odd, and the second entry
+runs the trees in the other order, so each tree runs once in each position. Each entry
+keeps each side's wall seconds, pytest's summary counts (passed, failed, ...) and exit
+code.
 
 Per workload and end-to-end metric the output gives both sides' median and inclusive
 quartiles, the change's wins (strictly better, in the direction BENCHMARK.json gives), the
@@ -193,11 +196,13 @@ def main(argv=None):
                 f"{pair['change']['result']['metrics'][m]['value']:.4g}"
                 for m in (args.claim or better) if m in pair["parent"]["result"]["metrics"]),
                 file=sys.stderr, flush=True)
-    order = ("parent", "change") if len(report["tier1"]) % 2 == 0 else ("change", "parent")
-    runs = {side: run_tier1(trees[side]) for side in order}
-    report["tier1"].append({"first": order[0], "parent": runs["parent"], "change": runs["change"]})
-    write()
-    print(tier1_line(report["tier1"][-1]), file=sys.stderr, flush=True)
+    for _ in range(2):  # the second entry's parity takes the other order: ABBA
+        order = ("parent", "change") if len(report["tier1"]) % 2 == 0 else ("change", "parent")
+        runs = {side: run_tier1(trees[side]) for side in order}
+        report["tier1"].append({"first": order[0], "parent": runs["parent"],
+                                "change": runs["change"]})
+        write()
+        print(tier1_line(report["tier1"][-1]), file=sys.stderr, flush=True)
     return 0
 
 
