@@ -165,19 +165,15 @@ def _with_bias(x):
 
 
 def _softmax(z):
-    """Row-wise softmax of z, written over z. The row max is taken column by column,
-    which is exact in any order and faster than a max along short rows."""
-    rowmax = z[:, 0].copy()
-    for col in z.T[1:]:
-        np.maximum(rowmax, col, out=rowmax)
-    z -= rowmax[:, None]
+    """Softmax down each column of z (a row per class, a column per example), written over z."""
+    z -= z.max(axis=0)
     np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
+    z /= z.sum(axis=0)
     return z
 
 
 def predict_proba(model, x):
-    return _softmax(_with_bias(x) @ model.weights.T)
+    return np.ascontiguousarray(_softmax(model.weights @ _with_bias(x).T).T)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence raises DivergenceError
@@ -188,21 +184,21 @@ def train_softmax(split, cfg):
     Deterministic: no randomness enters the optimization.
     """
     xb = _with_bias(split.x)
+    xbt = xb.T.copy()
     n = xb.shape[0]
-    y = split.y
     w = np.zeros((cfg.num_classes, xb.shape[1]))
-    onehot = np.zeros((n, cfg.num_classes))
-    onehot[np.arange(n), y] = 1.0
+    onehot = np.zeros((cfg.num_classes, n))
+    onehot[split.y, np.arange(n)] = 1.0
     for _ in range(cfg.max_epochs):
-        p = _softmax(xb @ w.T)
-        # a row total lies in [1, C] or is nan, which makes the whole row nan, and the
+        p = _softmax(w @ xbt)
+        # a column total lies in [1, C] or is nan, which makes the whole column nan, and the
         # cross-entropy of the probabilities is non-finite exactly when a total is nan
-        if np.isnan(p[:, 0]).any():
+        if np.isnan(p[0]).any():
             raise DivergenceError("training loss diverged; reduce learn_rate")
-        if np.count_nonzero(p.argmax(axis=1) == y) / n >= cfg.train_acc_threshold:
+        if np.count_nonzero(p.argmax(axis=0) == split.y) / n >= cfg.train_acc_threshold:
             break
         p -= onehot
-        grad = p.T @ xb
+        grad = p @ xb
         grad /= n
         w = w - cfg.learn_rate * grad
     if not np.all(np.isfinite(w)):
@@ -223,7 +219,7 @@ def gradient_embeddings(model, x, labels=None):
         raise ConfigurationError(
             f"feature dim {xb.shape[1] - 1} does not match model dim {model.weights.shape[1] - 1}"
         )
-    p = _softmax(xb @ model.weights.T)
+    p = np.ascontiguousarray(_softmax(model.weights @ xb.T).T)
     if labels is None:
         y = p.argmax(axis=1)
     else:
@@ -232,9 +228,8 @@ def gradient_embeddings(model, x, labels=None):
                 or y.size and (y.min() < 0 or y.max() >= p.shape[1])):
             raise ConfigurationError(f"labels must be {len(p)} integers in [0, {p.shape[1]}), "
                                      f"one per row of x; got dtype {y.dtype} and shape {y.shape}")
-    resid = p.copy()
-    resid[np.arange(len(y)), y] -= 1.0
-    return FeatureMatrix.outer(resid, xb)
+    p[np.arange(len(y)), y] -= 1.0
+    return FeatureMatrix.outer(p, xb)
 
 
 def _accuracies(model, test, target_classes):

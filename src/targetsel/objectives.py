@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, IndefiniteKernelError
+from .errors import ConfigurationError, DivergenceError, IndefiniteKernelError
 from .kernel import KernelRows, _check_size, cholesky_or_raise
 
 KINDS = ("gcmi", "fl1mi", "fl2mi", "logdetmi", "gcmi_div", "fl", "gc", "logdet", "dsum")
@@ -52,6 +52,7 @@ PAD_COLUMNS = 64  # see CholeskyResiduals.__init__
 # an all-equal kernel at the default ridge, and at least 0.21 (logdet) and
 # 3.4e-3 (logdetmi) on default-protocol seeds 0-15 at budget 100.
 PIVOT_TOL = 1e-10  # at least four decades inside each end
+OVERFLOW = "a gain or the total is beyond float range; rescale the features or lower gamma"
 
 
 def check_parameters(eta, gamma, lambda_gc, ridge):
@@ -149,12 +150,14 @@ class Objective:
     def commit(self, a):
         self._check_candidate(a)
         g = float(self.gains_at(a))
-        self._commit(a)
+        self._commit(a, self.value + g)
         self.selected.append(a)
         self.value += g
 
-    def _commit(self, a):
-        pass
+    def _commit(self, a, total):
+        """Refuse a total beyond float range; each kind calls this before it folds a in."""
+        if not abs(total) <= sys.float_info.max:  # NaN or an infinity
+            raise DivergenceError(OVERFLOW)
 
     def _check_bounds(self, a):
         if not 0 <= a < self.n:
@@ -178,7 +181,8 @@ class _RunningMax(Objective):
             return self.rows[idx]
         return np.maximum(self.cur, self.rows[idx])
 
-    def _commit(self, a):
+    def _commit(self, a, total):
+        super()._commit(a, total)
         self.cur = self._cover(a)
 
 
@@ -190,7 +194,8 @@ class _RunningSum(Objective):
         self.uu = spec.s_uu
         self.sel_sim = np.zeros(self.n)
 
-    def _commit(self, a):
+    def _commit(self, a, total):
+        super()._commit(a, total)
         self.sel_sim += self.uu.row(a)
 
 
@@ -281,11 +286,12 @@ class _ResidualLogDet(Objective):
             out = out - log_d[idx]
         return out
 
-    def _commit(self, a):
+    def _commit(self, a, total):
         for r in self.residuals:  # before any kernel folds a in
             if r.d[a] <= r.floor[a]:
                 raise IndefiniteKernelError(
                     f"index {a} is not a pivot of the {r.name}; increase the ridge")
+        super()._commit(a, total)
         for r, e in zip(self.residuals, self._columns(a)):
             r.fold(a, e)
         self.logs = None

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .objectives import build_objective
+from .objectives import OVERFLOW, build_objective
 
 TIE_TOL = 1e-12
 LAZY_BLOCK = 32  # stale bounds re-scored by one gains_at call
-OVERFLOW = "a gain or the total is beyond float range; rescale the features or lower gamma"
 
 
 @dataclass

@@ -15,10 +15,13 @@ against the factor of the selected block), as the reference for the lazy loop
 and the pivot rule at ridge 0.
 `exhaustive_maximize` is the true optimum that greedy's `1 - 1/e` bound is
 checked against. `train_softmax_reference` and `badge_select_reference` are
-the training loop and k-means++ loop the library ran before it worked in
-place, and `within_set_kernel`, `cross_kernel` and `factored_kernel` the
-kernel builds it ran before it finished each block in place, all kept as the
-bit-for-bit references for those paths.
+the training loop (in the library's class-row layout) and k-means++ loop the
+library ran before it worked in place, and `within_set_kernel`, `cross_kernel`
+and `factored_kernel` the kernel builds it ran before it finished each block in
+place, all kept as the bit-for-bit references for those paths.
+`train_softmax_rows_reference` is the same training loop with one row per
+example, the layout the library trained in before; its weights are held to the
+library's within round-off, its predictions exactly.
 """
 
 import math
@@ -411,8 +414,41 @@ def exhaustive_maximize(spec, k):
 
 
 def train_softmax_reference(split, cfg):
-    """Full-batch gradient descent on cross-entropy, one fresh array per step:
-    the epoch loop `harness.train_softmax` ran before it worked in place."""
+    """Full-batch gradient descent on cross-entropy, one fresh array per step, in the
+    library's class-row layout: the logits are `w @ xb.T` (the transpose made contiguous,
+    as the library multiplies it) and the softmax runs down each column. The epoch loop
+    `harness.train_softmax` runs, without its in-place buffer."""
+    xb = _with_bias(split.x)
+    xbt = np.ascontiguousarray(xb.T)
+    n = xb.shape[0]
+    y = split.y
+    w = np.zeros((cfg.num_classes, xb.shape[1]))
+    onehot = np.zeros((cfg.num_classes, n))
+    onehot[y, np.arange(n)] = 1.0
+    for _ in range(cfg.max_epochs):
+        p = _softmax(w @ xbt)
+        loss = -np.log(np.maximum(p[y, np.arange(n)], 1e-300)).mean()
+        if not np.isfinite(loss):
+            raise DivergenceError("training loss diverged; reduce learn_rate")
+        if (p.argmax(axis=0) == y).mean() >= cfg.train_acc_threshold:
+            break
+        grad = (p - onehot) @ xb / n
+        w = w - cfg.learn_rate * grad
+    if not np.all(np.isfinite(w)):
+        raise DivergenceError("weights diverged; reduce learn_rate")
+    return ToyModel(w)
+
+
+def _row_softmax(z):
+    """Softmax along each row of z (one row per example), as a fresh array."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def train_softmax_rows_reference(split, cfg):
+    """The epoch loop with one row per example, `xb @ w.T` and a softmax along rows:
+    the layout `harness.train_softmax` trained in before its logits had one row per
+    class. Its weights differ from the library's by round-off only."""
     xb = _with_bias(split.x)
     n = xb.shape[0]
     y = split.y
@@ -420,7 +456,7 @@ def train_softmax_reference(split, cfg):
     onehot = np.zeros((n, cfg.num_classes))
     onehot[np.arange(n), y] = 1.0
     for _ in range(cfg.max_epochs):
-        p = _softmax(xb @ w.T)
+        p = _row_softmax(xb @ w.T)
         loss = -np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean()
         if not np.isfinite(loss):
             raise DivergenceError("training loss diverged; reduce learn_rate")
@@ -431,6 +467,11 @@ def train_softmax_reference(split, cfg):
     if not np.all(np.isfinite(w)):
         raise DivergenceError("weights diverged; reduce learn_rate")
     return ToyModel(w)
+
+
+def predict_proba_rows_reference(model, x):
+    """Class probabilities in the row-per-example layout: `xb @ w.T`, softmax along rows."""
+    return _row_softmax(_with_bias(x) @ model.weights.T)
 
 
 def badge_select_reference(embeddings, k, seed):

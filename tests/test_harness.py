@@ -6,7 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
-from oracles import train_softmax_reference
+from oracles import (predict_proba_rows_reference, train_softmax_reference,
+                     train_softmax_rows_reference)
 from targetsel import harness, kernel
 from targetsel.baselines import random_select
 from targetsel.datastore import ProbabilityMatrix
@@ -124,9 +125,18 @@ def _trained(train, split, cfg):
         return str(exc)
 
 
+def _base_and_augmented(cfg, seed):
+    """A protocol seed's data, and its train split alone and with `budget` random lake rows."""
+    data = synthetic_generate(cfg, seed)
+    chosen = random_select(len(data.lake.y), cfg.budget, seed).selected
+    return data, (data.train, LabeledSplit(np.vstack([data.train.x, data.lake.x[chosen]]),
+                                           np.concatenate([data.train.y, data.lake.y[chosen]])))
+
+
 class TestTrainSoftmaxMatchesReference:
     """train_softmax runs each epoch in place on one buffer; the loop it
-    replaced is the reference, bit for bit, down to the epoch that diverges."""
+    replaced, in the same class-row layout and with the same operands, is the
+    reference, bit for bit, down to the epoch that diverges."""
 
     def assert_same(self, split, cfg):
         ours = _trained(train_softmax, split, cfg)
@@ -140,11 +150,8 @@ class TestTrainSoftmaxMatchesReference:
     @pytest.mark.parametrize("seed", range(4))
     def test_protocol_seed_base_and_augmented(self, seed):
         cfg = ExperimentConfig()
-        data = synthetic_generate(cfg, seed)
-        self.assert_same(data.train, cfg)
-        chosen = random_select(len(data.lake.y), cfg.budget, seed).selected
-        self.assert_same(LabeledSplit(np.vstack([data.train.x, data.lake.x[chosen]]),
-                                      np.concatenate([data.train.y, data.lake.y[chosen]])), cfg)
+        for split in _base_and_augmented(cfg, seed)[1]:
+            self.assert_same(split, cfg)
 
     @pytest.mark.parametrize("classes", [2, 3])
     def test_few_classes(self, classes):
@@ -186,6 +193,26 @@ class TestTrainSoftmaxMatchesReference:
         assert diverged == [False] * (fine_epochs + 1) + [True] * 3
         assert outcomes[fine_epochs + 1] == f"{first} diverged; reduce learn_rate"
         assert outcomes[-1] == "training loss diverged; reduce learn_rate"
+
+
+class TestTrainSoftmaxMatchesRowLayout:
+    """train_softmax computes its logits with one row per class (C x n) and a
+    softmax down each column; the loop with one row per example (n x C), a
+    softmax along rows, sums in another order. On the protocol its weights
+    differ by round-off only and every prediction is the same."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_protocol_seed_base_and_augmented(self, seed):
+        cfg = ExperimentConfig()
+        data, splits = _base_and_augmented(cfg, seed)
+        for split in splits:
+            ours = train_softmax(split, cfg)
+            rows = train_softmax_rows_reference(split, cfg)
+            assert np.abs(ours.weights - rows.weights).max() <= 1e-13 * np.abs(rows.weights).max()
+            for x in (data.test.x, data.lake.x):
+                np.testing.assert_array_equal(
+                    predict_proba(ours, x).argmax(axis=1),
+                    predict_proba_rows_reference(rows, x).argmax(axis=1))
 
 
 class TestGradientEmbeddings:

@@ -18,10 +18,11 @@ from oracles import (
 )
 from targetsel import harness, kernel
 from targetsel.datastore import FeatureMatrix
-from targetsel.errors import ConfigurationError, IndefiniteKernelError, SizeError
+from targetsel.errors import ConfigurationError, DivergenceError, IndefiniteKernelError, SizeError
 from targetsel.kernel import KernelConfig, SimilarityKernel, build_kernel, cholesky_or_raise
 from targetsel.objectives import (
     KINDS,
+    OVERFLOW,
     PIVOT_TOL,
     ROW_KINDS,
     CholeskyResiduals,
@@ -194,6 +195,27 @@ class TestCommit:
         assert second.selected == [] and second.value == 0.0
         assert pickle.dumps(vars(second)) == before
         np.testing.assert_array_equal(second.gains(), fresh)
+
+    @pytest.mark.parametrize("kind", sorted(set(KINDS) - {"logdet", "logdetmi"}))
+    def test_commit_beyond_float_range_raises_and_changes_nothing(self, kind):
+        # rows (1e154, i) under the dot metric: every kernel entry is 1e308, so the
+        # first commit's total is beyond float range, or for dsum (1e308 less per
+        # selected pair) the third one's; a direct commit raises the greedy loops'
+        # error and leaves the selection, the value and every cache as they were
+        cfg = KernelConfig(metric="dot", transform="none")
+        pool = FeatureMatrix(np.array([[1e154, float(i)] for i in range(4)]))
+        uu, ut = build_kernel(pool, pool, cfg), build_kernel(pool, FeatureMatrix(pool.values[:1]), cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            obj = build_objective(ObjectiveSpec(kind, s_uu=uu, s_ut=ut))
+            committed = 2 if kind == "dsum" else 0
+            for a in range(committed):
+                obj.commit(a)
+            before = pickle.dumps(vars(obj))
+            with pytest.raises(DivergenceError) as err:
+                obj.commit(committed)
+        assert str(err.value) == OVERFLOW
+        assert pickle.dumps(vars(obj)) == before
+        assert obj.selected == list(range(committed)) and np.isfinite(obj.value)
 
     def test_cache_consistency_random_sequences(self):
         rng = np.random.default_rng(19)
