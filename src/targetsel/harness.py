@@ -189,13 +189,17 @@ def train_softmax(split, cfg):
     w = np.zeros((cfg.num_classes, xb.shape[1]))
     onehot = np.zeros((cfg.num_classes, n))
     onehot[split.y, np.arange(n)] = 1.0
+    own = split.y * n + np.arange(n)  # each example's own-class entry in the flat p
     for _ in range(cfg.max_epochs):
         p = _softmax(w @ xbt)
         # a column total lies in [1, C] or is nan, which makes the whole column nan, and the
         # cross-entropy of the probabilities is non-finite exactly when a total is nan
         if np.isnan(p[0]).any():
             raise DivergenceError("training loss diverged; reduce learn_rate")
-        if np.count_nonzero(p.argmax(axis=0) == split.y) / n >= cfg.train_acc_threshold:
+        # an example is predicted right only if its own class reaches the column max, so this
+        # count bounds the argmax count, which runs only when the bound reaches the threshold
+        if (np.count_nonzero(p.take(own) >= p.max(axis=0)) / n >= cfg.train_acc_threshold
+                and np.count_nonzero(p.argmax(axis=0) == split.y) / n >= cfg.train_acc_threshold):
             break
         p -= onehot
         grad = p @ xb

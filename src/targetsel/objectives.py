@@ -124,6 +124,7 @@ class Objective:
         self.selected = []
         self.value = 0.0
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite value raises DivergenceError
     def evaluate(self, indices):
         indices = list(indices)
         if len(set(indices)) != len(indices):
@@ -132,7 +133,10 @@ class Objective:
             self._check_bounds(a)
         if not indices:
             return 0.0
-        return self._evaluate(indices)
+        value = self._evaluate(indices)
+        if not abs(value) <= sys.float_info.max:  # NaN or an infinity
+            raise DivergenceError(OVERFLOW)
+        return value
 
     def gain(self, a):
         self._check_candidate(a)
@@ -501,6 +505,7 @@ def build_objective(spec):
     return _CLASSES[spec.kind](spec)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # over __init__'s kernel sums too
 def evaluate(spec, indices):
     """Objective value of an index set, computed from scratch."""
     return build_objective(spec).evaluate(indices)

@@ -177,6 +177,17 @@ class TestTrainSoftmaxMatchesReference:
             cfg, train_acc_threshold=float(np.nextafter(0.75, 1.0))))
         assert np.array_equal(stopped, one_epoch) and not np.array_equal(stopped, ran)
 
+    @pytest.mark.parametrize("labels, stops", [([0, 1, 1], False), ([0, 0, 1], True)])
+    def test_epoch_zero_ties_go_to_the_first_class(self, labels, stops):
+        # zero weights tie every column, so every own class reaches its column max and the
+        # bound admits all three rows; the first-max argmax predicts class 0 for each, which
+        # is right for a third of [0, 1, 1] and two thirds of [0, 0, 1]
+        split = LabeledSplit(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.array(labels))
+        cfg = dataclasses.replace(SMALL, num_classes=2, feature_dim=2, max_epochs=20,
+                                  train_acc_threshold=0.5)
+        weights = self.assert_same(split, cfg)
+        assert (not weights.any()) == stops
+
     @pytest.mark.parametrize("learn_rate, scale, fine_epochs, first", [
         (float("inf"), 1.0, 0, "weights"),  # the first step makes the weights non-finite
         (1000.0, 1e153, 3, "training loss"),  # the logits overflow in the fourth epoch

@@ -217,6 +217,18 @@ class TestCommit:
         assert pickle.dumps(vars(obj)) == before
         assert obj.selected == list(range(committed)) and np.isfinite(obj.value)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind", ["gc", "gcmi", "fl", "dsum"])
+    def test_evaluate_beyond_float_range_raises_without_warnings(self, kind):
+        # the pool of the commit test above: from scratch, these sums came out nan (gc),
+        # inf (gcmi, fl) or -inf (dsum), with numpy RuntimeWarnings on the way
+        cfg = KernelConfig(metric="dot", transform="none")
+        pool = FeatureMatrix(np.array([[1e154, float(i)] for i in range(4)]))
+        uu, ut = build_kernel(pool, pool, cfg), build_kernel(pool, FeatureMatrix(pool.values[:1]), cfg)
+        with pytest.raises(DivergenceError) as err:
+            evaluate(ObjectiveSpec(kind, s_uu=uu, s_ut=ut), [0, 1, 2])
+        assert str(err.value) == OVERFLOW
+
     def test_cache_consistency_random_sequences(self):
         rng = np.random.default_rng(19)
         for kind in KINDS:
